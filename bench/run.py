@@ -7,25 +7,31 @@ Run from the root of a checkout; the benchmark imports regtail from
 verify_small (see workloads.py for what each runs and why).
 
 One run of a workload works for about ``--seconds`` seconds, and for at least
-one pass. It first spawns a few set-up probes (fresh processes that set up and
-exit), then one fresh process per pass over the workload's op list
-(worker.py), one after another, until the time is up. Each process issues
-one op at a time (closed loop, one client) and checks every output. Pass r
-uses seed ``derive(N, r)``, so the same ``--seed`` gives the same inputs.
+one pass. It spawns, one after another until the time is up, a set-up probe
+(a fresh process that sets up and exits) and then one fresh process for a
+pass over the workload's op list (worker.py). Each process issues
+one op at a time (closed loop, one client) and checks every output. Every
+process of a run builds the same inputs from ``derive(N, 0)``, so the same
+``--seed`` gives the same inputs and the passes repeat identical work.
 
 With ``--trace 0`` the last stdout line reports the end-to-end metrics:
 
-- ``setup_s``: median over the run's processes of the time from spawning
-  the process until its first op can be issued
+- ``setup_s``: median over the run's processes (probes and passes) of the
+  time from spawning the process until its first op can be issued
 - ``wall_s``: median over passes of the time to finish the op list once
+
+Both times are brought to a fixed reference speed of the host by the
+worker's speedometer (see worker.py): a shared host's speed drifts by up to
+2x for seconds to minutes at a time, which no median over a 30 s run can
+average away. The record keeps the raw times too.
 - ``peak_rss_mb``: median over passes of the process's ``ru_maxrss``
 - ``ok_ratio``: share of attempted ops that succeeded and passed their
   check, that is 1 - fail_ratio (the end-to-end list may not hold a metric
   that is 0 on a healthy tree, so the failure share is carried as its
   complement here, and as ``fail_ratio`` in the traced report)
 
-With ``--trace 1`` passes come in pairs on the same seed, one untraced and
-one traced, and the last line reports the per-layer metrics of tracing.py,
+With ``--trace 1`` passes come in pairs, one untraced and one traced, and
+the last line reports the per-layer metrics of tracing.py,
 averaged over the traced passes; ``trace.overhead_ratio`` is traced over
 untraced wall time.
 
@@ -56,7 +62,6 @@ OUT = BENCH / "out"
 WORKER = BENCH / "worker.py"
 WORKLOADS = ("mc_scan", "peel", "exact_n7", "verify_small")
 END_TO_END = (("setup_s", "s"), ("wall_s", "s"), ("peak_rss_mb", "MiB"), ("ok_ratio", "ratio"))
-SETUP_PROBES = 5
 WORKER_TIMEOUT_S = 150
 
 sys.path.insert(0, str(BENCH))
@@ -148,16 +153,17 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool) -> d
     """All passes of one run; returns the full record."""
     env = environment()
     start = time.monotonic()
-    setups = [spawn(workload, derive(seed, 0), smoke, setup_only=True)["setup_s"]
-              for _ in range(SETUP_PROBES)]
-    passes, traced = [], []
+    sub = derive(seed, 0)
+    setups, passes, traced = [], [], []
     rep = 0
     last = 0.0
     # A pass starts only if half of one more like the last still fits, so a
     # run overshoots --seconds by at most half a pass.
     while rep == 0 or time.monotonic() - start + last / 2 <= seconds:
         began = time.monotonic()
-        sub = derive(seed, rep)
+        # A set-up probe before each pass spreads the set-up samples over
+        # the whole run, so no single phase of the host's speed holds most.
+        setups.append(spawn(workload, sub, smoke, setup_only=True)["setup_s"])
         passes.append(spawn(workload, sub, smoke) | {"seed": sub})
         if trace:
             spans = OUT / f"spans-{workload}-seed{seed}-pass{rep}.tsv"

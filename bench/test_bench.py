@@ -164,6 +164,19 @@ def test_failed_checks_exceptions_and_exits_count(smoke_outputs, ref):
     assert result["wall_s"] > 0
 
 
+def test_speedometer_scales_each_op_to_the_reference_speed(smoke_outputs, ref):
+    op, out = find(smoke_outputs, "core ")
+    speed = worker.Speedometer()
+    speed.samples = [1.0]  # taken before the run: ignored
+    # every probe reads twice as fast as its reference
+    speed.sample = lambda *_: speed.samples.append(speed.ref / 2)
+    ops = [workloads.Op("genuine", lambda: out, op.check, memory_bound=bound)
+           for bound in (False, True, False)]
+    result = worker.run_ops(ops, ref, speed=speed)
+    assert result["failed"] == 0 and result["op_scale"] == [2.0, 2.0, 2.0]
+    assert math.isclose(result["wall_s"], 2 * result["raw_wall_s"])
+
+
 # ---------------------------------------------------------------- tracing
 
 

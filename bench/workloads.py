@@ -60,6 +60,7 @@ class Op:
     check: Callable[[object, dict], "str | None"]  # failure reason, or None
     ref_key: "str | None" = None  # entry of reference.json the check reads
     reference: "Callable[[object], object] | None" = None  # value stored there
+    memory_bound: bool = False  # works on arrays larger than L2 (see worker.py)
 
 
 def threshold_p(name: str, n: int) -> float:
@@ -297,6 +298,12 @@ def build_peel(seed, size, workdir):
     return ops
 
 
+def exact_memory_bound(n: int) -> bool:
+    """The exact layer keeps arrays of 2^C(n,2) entries: 2-16 MiB at n=7,
+    beyond the 2 MiB L2, and at most 256 KiB at n=6."""
+    return math.comb(n, 2) >= 21
+
+
 def build_exact_n7(seed, size, workdir):
     ops = []
     n = size["table_n"]
@@ -307,16 +314,17 @@ def build_exact_n7(seed, size, workdir):
         ops.append(Op(key,
                       lambda pattern=pattern, p=p: counting.tail_probability_table(
                           pattern, n, p).tolist(),
-                      check_reference(key), key, lambda out: out))
+                      check_reference(key), key, lambda out: out, exact_memory_bound(n)))
     for bk_n in size["bk_ns"]:
         ops.append(cli_op(["verify", "bk", "--n", bk_n], check_pass))
+        ops[-1].memory_bound = exact_memory_bound(bk_n)
     for name, ev_n, count in size["spanned"]:
         model = graphs.GnpModel(ev_n, threshold_p(name, ev_n))
         event = counting.HasSpannedWithCopies(graphs.named_pattern(name), count)
         key = f"exact_probability HasSpannedWithCopies {name} count={count} n={ev_n}"
         ops.append(Op(key,
                       lambda model=model, event=event: counting.exact_probability(model, event),
-                      check_reference(key), key, lambda out: out))
+                      check_reference(key), key, lambda out: out, exact_memory_bound(ev_n)))
     sn, kmax, samples = size["scan_n"], size["kmax"], size["samples"]
     for name in PATTERNS:
         key = f"scan {name} n={sn} kmax={kmax}"
