@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 from .graphs import Pattern, SimpleGraph
 
 
@@ -82,7 +82,8 @@ class EdgeRootedInput:
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"p must lie in [0, 1], got {self.p}")
         q, delta = self.pattern.q, self.pattern.delta
-        assert q / 2 - 2 + 1 / delta >= -1e-12, "regular patterns keep this exponent nonnegative"
+        if q / 2 - 2 + 1 / delta < -1e-12:
+            raise ContractError("regular patterns keep the exponent q/2 - 2 + 1/delta nonnegative")
 
 
 def edge_rooted_bound(inp: EdgeRootedInput) -> float:

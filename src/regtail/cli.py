@@ -383,11 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except RegtailError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 1
-    except OSError as exc:
+    except (RegtailError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1

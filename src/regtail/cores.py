@@ -18,10 +18,10 @@ from .bounds import EdgeRootedInput, edge_rooted_bound
 from .counting import (
     DEFAULT_PLANTED_BUDGET,
     PlantedModel,
-    planted_edge_delta,
+    planted_edge_deltas,
     planted_expectation,
 )
-from .errors import DomainError, IsolatedVertexError
+from .errors import ContractError, DomainError, IsolatedVertexError
 from .graphs import Pattern, SimpleGraph
 
 
@@ -102,15 +102,21 @@ def is_core(
     for v in range(g_star.n):
         if g_star.degree(v) == 0:
             raise IsolatedVertexError(f"vertex {v} is isolated")
-    model = _model(params, g_star)
-    expectation = planted_expectation(P, model, budget)
-    deltas = {f: planted_edge_delta(P, model, f, budget)[0] for f in g_star.edges}
-    ok = (
+    expectation, deltas = planted_edge_deltas(P, _model(params, g_star), budget)
+    return _core_verdict(expectation, deltas, g_star.m, params), deltas
+
+
+def _core_verdict(expectation, deltas, m, params: SeedParams) -> bool:
+    return (
         expectation >= (1.0 - 2.0 * params.w) * params.k
-        and g_star.m <= params.edge_cap
+        and m <= params.edge_cap
         and all(d >= params.t for d in deltas.values())
     )
-    return ok, deltas
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ContractError(message)
 
 
 def _compact_support(g: SimpleGraph) -> SimpleGraph:
@@ -142,21 +148,23 @@ def peel_to_core(
     """Iteratively delete the lexicographically smallest edge whose deletion
     drop is below t, until none remains or the graph is empty.
 
-    When the input is a seed the proof contract is checked: every deletion
-    drops the expectation by less than t, the total drop stays within w*k,
-    and the survivor meets the expectation floor (1-2w)*k.
+    The planted engine runs once per graph state and gives the expectation
+    with every edge's drop. Each deletion's actual drop (the difference of
+    two expectations) must equal the credited delta of the deleted edge.
+    When the input is a seed the proof contract is checked too: every
+    deletion drops the expectation by less than t, the total drop stays
+    within w*k, and the survivor meets the expectation floor (1-2w)*k.
+    A failed check raises ContractError.
     """
     t = params.t
     work = SimpleGraph(g_star.n, g_star.edges)
-    model = _model(params, work)
-    expectation = planted_expectation(P, model, budget)
+    expectation, deltas = planted_edge_deltas(P, _model(params, work), budget)
     trace = [expectation]
     seed_input = expectation >= (1.0 - params.w) * params.k and work.m <= params.edge_cap
     initial_expectation = expectation
     initial_edges = work.m
     peeled = []
     while work.m > 0:
-        deltas = {f: planted_edge_delta(P, model, f, budget)[0] for f in work.edges}
         violating = [f for f in work.edges if deltas[f] < t]
         if not violating:
             break
@@ -164,20 +172,24 @@ def peel_to_core(
         delta_f = deltas[f]
         peeled.append(f)
         work = work.with_edges(e for e in work.edges if e != f)
-        model = _model(params, work)
-        expectation = planted_expectation(P, model, budget)
+        expectation, deltas = planted_edge_deltas(P, _model(params, work), budget)
         drop = trace[-1] - expectation
         tol = 1e-9 * max(1.0, trace[-1])
-        assert abs(drop - delta_f) <= tol, "deletion drop must equal the edge delta"
-        assert drop < t + tol, "single deletion dropped more than t"
+        _require(abs(drop - delta_f) <= tol,
+                 f"deleting {f} dropped the expectation by {drop}, not by its delta {delta_f}")
+        _require(drop < t + tol, f"deleting {f} dropped the expectation by {drop} >= t = {t}")
         trace.append(expectation)
 
     if seed_input and peeled:
         total_drop = initial_expectation - expectation
-        assert total_drop <= t * initial_edges + 1e-9 * max(1.0, initial_expectation)
-        assert total_drop <= params.w * params.k + 1e-9 * max(1.0, initial_expectation)
+        slack = 1e-9 * max(1.0, initial_expectation)
+        _require(total_drop <= t * initial_edges + slack,
+                 f"total drop {total_drop} exceeds t times the seed's {initial_edges} edges")
+        _require(total_drop <= params.w * params.k + slack,
+                 f"total drop {total_drop} exceeds w*k = {params.w * params.k}")
     if seed_input and work.m > 0:
-        assert expectation >= (1.0 - 2.0 * params.w) * params.k - 1e-9 * params.k
+        _require(expectation >= (1.0 - 2.0 * params.w) * params.k - 1e-9 * params.k,
+                 f"survivor expectation {expectation} is below the floor (1-2w)*k")
 
     if work.m == 0:
         return CoreReport(
@@ -188,8 +200,10 @@ def peel_to_core(
             min_degree=None,
             min_degree_product=None,
         )
+    # the last pass is the core test's: expectation and drops do not
+    # depend on the labels, so the compacted survivor needs no new pass
     compact = _compact_support(work)
-    ok, _ = is_core(compact, params, P, budget)
+    ok = _core_verdict(expectation, deltas, compact.m, params)
     degs = [compact.degree(v) for v in range(compact.n)]
     min_prod = min(
         compact.degree(u) * compact.degree(v) for u, v in compact.edges

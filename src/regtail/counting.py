@@ -7,11 +7,26 @@ other module's inequality is checked against it.
 
 The injective-map kernel enumerates vertex images in a greedy connected
 order (each new pattern vertex adjacent to an already-placed one when
-possible), with candidates filtered by degree and adjacency. Conditional
-expectations over a planted graph are computed by expanding the product of
-per-edge factors p + (1-p)*1[planted] over edge subsets of the pattern,
-which reduces each term to a small injective-matching count inside the
-planted graph times a falling factorial for the untouched vertices.
+possible), with candidates filtered by degree and adjacency. It is the
+package's one injective-map recursion: an optional leaf hook sees every
+complete map, which is how copies are listed and planted edges credited.
+
+Conditional expectations over a planted graph G* expand the product of
+per-edge factors p + (1-p)*1[planted] over edge subsets T of the pattern H:
+
+    aut * E = sum_T w_T N_T,  w_T = p**(e(H)-|T|) (1-p)**|T| perm(n-t_T, q-t_T),
+
+where N_T counts injective maps of T's t_T vertices into G* carrying T's
+edges onto planted edges, and the falling factorial places the untouched
+vertices. A planted edge f has factor 1 in every copy through f, so the
+copies through f expand over the subsets T holding the edge e that lands
+on f, with one factor (1-p) fewer:
+
+    aut * (1-p) * rooted(f) = sum_T w_T * #{(map of T, e in T) : e -> f}.
+
+One kernel run per subset T therefore yields the expectation and, if each
+leaf credits the images of T's edges, every deletion drop
+delta(f) = (1-p) * rooted(f) = E[G*] - E[G* - f] at once.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ContractError,
     DomainError,
     EdgeAbsentError,
     TooLargeError,
@@ -31,10 +47,9 @@ from .errors import (
 from .graphs import Pattern, SimpleGraph
 
 DEFAULT_MAP_BUDGET = 10**9  # partial assignments per enumeration call
-DEFAULT_PLANTED_BUDGET = 10**8  # cap on n**q for planted-model calls
+DEFAULT_PLANTED_BUDGET = 10**8  # partial assignments per planted-model call
 MAX_EXACT_N = 7  # exact probability enumerates all 2^C(n,2) graphs
-
-_plan_cache: dict = {}
+PLAN_CACHE_SIZE = 1024  # holds every plan of K3, C4 and K4, pinned or not
 
 
 def _greedy_order(q, edge_list, pinned):
@@ -42,6 +57,9 @@ def _greedy_order(q, edge_list, pinned):
 
     Pinned vertices come first. Works for disconnected edge sets (a fresh
     root is started whenever no unplaced vertex touches the placed set).
+    Returns (order, back, hdeg, epos): back[i] lists the earlier positions
+    adjacent to position i, hdeg[i] its degree in the edge set, and epos
+    the positions of each listed edge's endpoints.
     """
     nbrs = {v: set() for v in range(q)}
     for u, v in edge_list:
@@ -65,29 +83,30 @@ def _greedy_order(q, edge_list, pinned):
     for i, v in enumerate(order):
         back.append(tuple(j for j in range(i) if order[j] in nbrs[v]))
     hdeg = tuple(len(nbrs[v]) for v in order)
-    return tuple(order), tuple(back), hdeg
+    pos = {v: i for i, v in enumerate(order)}
+    epos = tuple((pos[u], pos[v]) for u, v in edge_list)
+    return tuple(order), tuple(back), hdeg, epos
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(pattern_graph: SimpleGraph, edge_subset=None, pins=()):
-    """Cached enumeration plan for a pattern (or one of its edge subsets)."""
+    """Cached enumeration plan for a pattern (or one of its edge subsets,
+    given as a tuple), with the pinned pattern vertices placed first."""
     if edge_subset is None:
         edge_subset = pattern_graph.edges
-    key = (pattern_graph, frozenset(edge_subset), tuple(pins))
-    plan = _plan_cache.get(key)
-    if plan is None:
-        plan = _greedy_order(pattern_graph.n, edge_subset, pins)
-        _plan_cache[key] = plan
-    return plan
+    return _greedy_order(pattern_graph.n, edge_subset, pins)
 
 
-def _count_maps(plan, g: SimpleGraph, pins, budget, state=None):
+def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
     """Number of injective maps that realize the planned edges inside g.
 
-    pins maps plan positions (a prefix) to fixed images. budget counts
-    partial assignments; exceeding it raises BudgetExceededError. Passing a
-    shared mutable `state` cell lets several calls draw on one budget.
+    pins maps plan positions (a prefix) to fixed images. state is a
+    one-element list holding the remaining budget of partial assignments;
+    exhausting it raises BudgetExceededError, and passing one cell to
+    several calls makes them draw on one budget. leaf, if given, is called
+    with the image list (indexed by plan position) of every complete map.
     """
-    order, back, hdeg = plan
+    order, back, hdeg, _ = plan
     npos = len(order)
     adj = g.adj
     images = [0] * npos
@@ -102,13 +121,11 @@ def _count_maps(plan, g: SimpleGraph, pins, budget, state=None):
                 return 0
         images[i] = w
         used.add(w)
-    if npos == n_pins:
-        return 1
-    if state is None:
-        state = [budget]
 
     def rec(i):
         if i == npos:
+            if leaf is not None:
+                leaf(images)
             return 1
         bk = back[i]
         need = hdeg[i]
@@ -144,58 +161,34 @@ def _count_maps(plan, g: SimpleGraph, pins, budget, state=None):
 
 def count_injective_homs(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
     """Number of injective vertex maps carrying every pattern edge to an edge of g."""
-    plan = _plan(P.graph)
-    return _count_maps(plan, g, (), budget)
+    return _count_maps(_plan(P.graph), g, (), [budget])
+
+
+def _per_copy(P: Pattern, maps: int) -> int:
+    """Copy count from a count of injective maps, each copy hit |Aut| times."""
+    if maps % P.aut_count:
+        raise ContractError(f"map count {maps} is not divisible by |Aut| = {P.aut_count}")
+    return maps // P.aut_count
 
 
 def count_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
     """Number of edge subsets of g isomorphic to the pattern."""
-    homs = count_injective_homs(P, g, budget)
-    assert homs % P.aut_count == 0, "hom count must be divisible by |Aut|"
-    return homs // P.aut_count
+    return _per_copy(P, count_injective_homs(P, g, budget))
 
 
 def iter_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET):
     """Distinct copies of the pattern in g, each a frozenset of edges."""
-    order, back, hdeg = _plan(P.graph)
-    adj = g.adj
-    npos = len(order)
-    images = [0] * npos
-    used = set()
-    state = [budget]
+    plan = _plan(P.graph)
+    epos = plan[3]
     out = set()
-    pedges = P.graph.edges
 
-    def rec(i):
-        if i == npos:
-            pos = {order[j]: images[j] for j in range(npos)}
-            copy = frozenset(
-                (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-                for u, v in pedges
-            )
-            out.add(copy)
-            return
-        bk = back[i]
-        need = hdeg[i]
-        if bk:
-            anchor = min(bk, key=lambda j: len(adj.get(images[j], ())))
-            cands = adj.get(images[anchor], ())
-        else:
-            cands = adj.keys()
-        for w in cands:
-            if w in used or len(adj.get(w, ())) < need:
-                continue
-            if any(w not in adj[images[j]] for j in bk):
-                continue
-            state[0] -= 1
-            if state[0] < 0:
-                raise BudgetExceededError("copy enumeration budget hit")
-            images[i] = w
-            used.add(w)
-            rec(i + 1)
-            used.discard(w)
+    def leaf(images):
+        out.add(frozenset(
+            (images[i], images[j]) if images[i] < images[j] else (images[j], images[i])
+            for i, j in epos
+        ))
 
-    rec(0)
+    _count_maps(plan, g, (), [budget], leaf)
     return sorted(out, key=sorted)
 
 
@@ -206,13 +199,12 @@ def count_copies_through_edge(
     a, b = f
     if not g.has_edge(a, b):
         raise EdgeAbsentError(f"edge {f} not present in graph")
+    state = [budget]
     total = 0
     for u, v in P.graph.edges:
-        for pu, pv in ((u, v), (v, u)):
-            plan = _plan(P.graph, pins=(pu, pv))
-            total += _count_maps(plan, g, (a, b), budget)
-    assert total % P.aut_count == 0
-    return total // P.aut_count
+        for pins in ((u, v), (v, u)):
+            total += _count_maps(_plan(P.graph, pins=pins), g, (a, b), state)
+    return _per_copy(P, total)
 
 
 @dataclass(frozen=True)
@@ -236,44 +228,43 @@ class PlantedModel:
             )
 
 
-def _check_planted_budget(P: Pattern, model: PlantedModel, budget):
-    if model.n**P.q > budget:
-        raise BudgetExceededError(
-            f"n**q = {model.n}**{P.q} exceeds planted-model budget {budget}"
-        )
+def _planted_sum(P: Pattern, model: PlantedModel, state, root=None, credits=None) -> float:
+    """The subset expansion of the module docstring: the sum over edge
+    subsets T of the pattern of w_T * N_T.
 
-
-def _planted_injective_sum(P: Pattern, model: PlantedModel, pins: dict, budget) -> float:
-    """Sum over injective maps (extending pins) of p**(#image edges missing
-    from the planted graph). Exact up to floating accumulation.
-
-    Expands the per-edge factor p + (1-p)*1[planted] over subsets of the
-    pattern's edges; each subset contributes an injective matching count
-    inside the planted graph times a falling factorial.
+    root = (i, pins, f) keeps only the subsets that contain pattern edge i,
+    maps its endpoints `pins` (in that order) onto the planted edge f and
+    lowers the power of (1-p) by one, which sums the copies through f.
+    credits, a dict over the planted edges, receives w_T for every map of
+    T and every edge of T, at the edge's image. All kernel runs draw on
+    the one budget cell `state`.
     """
-    p = model.p
-    n = model.n
-    q = P.q
-    planted = model.planted
+    p, n, q = model.p, model.n, P.q
     pedges = P.graph.edges
     e_h = len(pedges)
-    pin_verts = tuple(sorted(pins))
-    pin_imgs = tuple(pins[v] for v in pin_verts)
-    if len(set(pin_imgs)) != len(pin_imgs):
-        raise DomainError("pinned images must be distinct")
+    must, pins, imgs = root if root is not None else (None, (), ())
     total = 0.0
-    state = [budget]  # one budget across all subset terms
     for bits in range(1 << e_h):
-        subset = tuple(pedges[i] for i in range(e_h) if bits >> i & 1)
-        touched = {v for e in subset for v in e} | set(pin_verts)
-        t = len(touched)
-        plan = _plan(P.graph, edge_subset=subset, pins=pin_verts)
-        cnt = _count_maps(plan, planted, pin_imgs, budget, state)
-        if cnt == 0:
+        if must is not None and not bits >> must & 1:
             continue
-        k = bits.bit_count()
-        weight = p ** (e_h - k) * (1.0 - p) ** k
-        total += weight * cnt * math.perm(n - t, q - t)
+        subset = tuple(pedges[i] for i in range(e_h) if bits >> i & 1)
+        plan = _plan(P.graph, subset, pins)
+        k, t = len(subset), len(plan[0])
+        weight = p ** (e_h - k) * (1.0 - p) ** (k - (must is not None))
+        weight *= math.perm(n - t, q - t)
+        if credits is None:
+            total += weight * _count_maps(plan, model.planted, imgs, state)
+            continue
+        tally = {}  # image pair -> maps crediting it; a plain dict is fastest here
+
+        def leaf(images, epos=plan[3], tally=tally):
+            for i, j in epos:
+                key = images[i], images[j]
+                tally[key] = tally.get(key, 0) + 1
+
+        total += weight * _count_maps(plan, model.planted, imgs, state, leaf)
+        for (a, b), c in tally.items():
+            credits[(a, b) if a < b else (b, a)] += weight * c
     return total
 
 
@@ -283,10 +274,28 @@ def planted_expectation(
     """Expected number of pattern copies in the planted model.
 
     Equals the sum over all copies in the complete graph of p raised to the
-    number of copy edges missing from the planted graph.
+    number of copy edges missing from the planted graph. budget caps the
+    partial assignments of all kernel runs together.
     """
-    _check_planted_budget(P, model, budget)
-    return _planted_injective_sum(P, model, {}, budget) / P.aut_count
+    return _planted_sum(P, model, [budget]) / P.aut_count
+
+
+def planted_edge_deltas(
+    P: Pattern, model: PlantedModel, budget: int = DEFAULT_PLANTED_BUDGET
+):
+    """Expectation and the deletion drop of every planted edge, from one
+    kernel run per pattern edge subset.
+
+    Returns (expectation, {edge: delta}) with delta(f) = (1 - p) *
+    rooted(f) = E[planted] - E[planted minus f]: each map of a subset T
+    credits its weight w_T to the image of every edge of T (the credit
+    identity of the module docstring). budget caps the partial assignments
+    of all kernel runs together.
+    """
+    credits = dict.fromkeys(model.planted.edges, 0.0)
+    total = _planted_sum(P, model, [budget], credits=credits)
+    aut = P.aut_count
+    return total / aut, {f: c / aut for f, c in credits.items()}
 
 
 def edge_rooted_expectation(
@@ -295,16 +304,19 @@ def edge_rooted_expectation(
     """Expected number of copies containing the planted edge f.
 
     Sum over copies through f of p**(#copy edges missing from the planted
-    graph); f itself must be planted.
+    graph); f itself must be planted. Pins each orientation of each pattern
+    edge e onto f and sums, over the subsets T containing e, w_T / (1 - p)
+    times the maps of T into the planted graph: f's own factor is 1, so
+    only subsets through e contribute.
     """
     a, b = f
     if not model.planted.has_edge(a, b):
         raise EdgeAbsentError(f"edge {f} not present in planted graph")
-    _check_planted_budget(P, model, budget)
+    state = [budget]
     total = 0.0
-    for u, v in P.graph.edges:
-        for pu, pv in ((u, v), (v, u)):
-            total += _planted_injective_sum(P, model, {pu: a, pv: b}, budget)
+    for i, (u, v) in enumerate(P.graph.edges):
+        for pins in ((u, v), (v, u)):
+            total += _planted_sum(P, model, state, root=(i, pins, (a, b)))
     return total / P.aut_count
 
 
@@ -315,7 +327,9 @@ def planted_edge_delta(
 
     Returns (delta, rooted) where rooted is the edge-rooted expectation of
     copies through f and delta = (1 - p) * rooted, the exact decrease
-    E[planted] - E[planted minus f].
+    E[planted] - E[planted minus f]: releasing f turns its factor in every
+    copy through f from 1 into p. For the drops of all planted edges at
+    once use planted_edge_deltas.
     """
     rooted = edge_rooted_expectation(P, model, f, budget)
     return (1.0 - model.p) * rooted, rooted

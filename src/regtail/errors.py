@@ -59,3 +59,8 @@ class TooFewVerticesError(RegtailError):
 
 class BlockTooSmallError(RegtailError):
     """Vertex blocks are smaller than the pattern after splitting."""
+
+
+class ContractError(RegtailError):
+    """An identity or inequality the mathematics guarantees failed to hold,
+    which points to a defect in the computation rather than in the input."""

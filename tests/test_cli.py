@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from regtail import cli, cores
 from regtail.cli import main
-from regtail.graphs import complete_graph, write_edge_list
+from regtail.graphs import SimpleGraph, complete_graph, write_edge_list
 
 
 @pytest.fixture
@@ -60,6 +61,45 @@ def test_core_json(tmp_path, capsys):
     assert payload["verdict"] == "Core"
     assert payload["peeled_edges"] == []
     assert payload["min_degree"] == 3
+
+
+def test_core_k4_beyond_the_old_n_power_guard(tmp_path, capsys):
+    # n**q = 200**4 exceeds the default planted budget, but a K6 seed costs
+    # only a few thousand partial assignments
+    path = tmp_path / "k6.edges"
+    path.write_text(write_edge_list(complete_graph(6)))
+    rc = main(["core", "--pattern", "k4", "--graph", f"@{path}", "--n", "200",
+               "--k", "10", "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Core"
+
+
+def test_core_contract_error_json(tmp_path, capsys, monkeypatch):
+    engine = cores.planted_edge_deltas
+
+    def halved(P, model, budget):
+        expectation, deltas = engine(P, model, budget)
+        return expectation, {f: d / 2 for f, d in deltas.items()}
+
+    monkeypatch.setattr(cores, "planted_edge_deltas", halved)
+    path = tmp_path / "seed.edges"
+    g = SimpleGraph(11, list(complete_graph(9).edges) + [(9, 10)])
+    path.write_text(write_edge_list(g))
+    rc = main(["core", "--pattern", "k3", "--graph", f"@{path}", "--n", "50",
+               "--p", "0.02", "--k", "64", "--w", "0.6"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ContractError"
+
+
+def test_memory_error_json(k5_file, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(cli, "count_copies", exhausted)
+    assert main(["count", "--pattern", "k3", "--graph", f"@{k5_file}"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {"error": "MemoryError", "message": "no room"}
 
 
 def test_bounds_json(capsys):

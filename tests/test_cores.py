@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from regtail import cores
 from regtail.cores import (
     CoreReport,
     SeedParams,
@@ -16,7 +17,7 @@ from regtail.cores import (
     peel_to_core,
 )
 from regtail.counting import PlantedModel, planted_expectation
-from regtail.errors import DomainError, IsolatedVertexError
+from regtail.errors import ContractError, DomainError, IsolatedVertexError
 from regtail.graphs import SimpleGraph, complete_graph, threshold_probability
 
 
@@ -120,6 +121,40 @@ def test_peel_trace_contract(k3):
         assert a > b
         assert a - b < params.t
     assert len(report.peeled_edges) <= g.m
+
+
+def _junk_seed():
+    """K9 with two disjoint junk edges, both of which peel away at k=64."""
+    params = SeedParams(n=50, p=0.02, k=64, q=3, w=0.6)
+    return params, SimpleGraph(13, list(complete_graph(9).edges) + [(9, 10), (11, 12)])
+
+
+def test_peel_runs_engine_once_per_graph_state(k3, monkeypatch):
+    calls = []
+    engine = cores.planted_edge_deltas
+
+    def counted(P, model, budget):
+        calls.append(model.planted.m)
+        return engine(P, model, budget)
+
+    monkeypatch.setattr(cores, "planted_edge_deltas", counted)
+    params, g = _junk_seed()
+    report = peel_to_core(g, params, k3)
+    assert report.verdict == "Core" and len(report.peeled_edges) == 2
+    assert calls == [38, 37, 36]
+
+
+def test_peel_rejects_a_wrong_delta(k3, monkeypatch):
+    engine = cores.planted_edge_deltas
+
+    def halved(P, model, budget):
+        expectation, deltas = engine(P, model, budget)
+        return expectation, {f: d / 2 for f, d in deltas.items()}
+
+    monkeypatch.setattr(cores, "planted_edge_deltas", halved)
+    params, g = _junk_seed()
+    with pytest.raises(ContractError):
+        peel_to_core(g, params, k3)
 
 
 def test_core_report_passes_is_core(k3, c4):

@@ -10,6 +10,7 @@ from oracles import (
     planted_expectation_oracle,
     subset_copy_count,
 )
+from regtail import counting
 from regtail.counting import (
     CopiesAtLeast,
     DisjointCopies,
@@ -22,11 +23,13 @@ from regtail.counting import (
     exact_probability,
     iter_copies,
     planted_edge_delta,
+    planted_edge_deltas,
     planted_expectation,
     tail_probability_table,
 )
 from regtail.errors import BudgetExceededError, DomainError, EdgeAbsentError, TooLargeError
 from regtail.graphs import GnpModel, SimpleGraph, complete_graph, empty_graph
+from regtail.verify import sweep_peel
 
 
 def test_hom_counts(k3, c4, k5):
@@ -138,9 +141,58 @@ def test_planted_expectation_p_to_one_limit(k3):
     )
 
 
-def test_planted_budget(k3):
+def test_planted_budget(k4):
+    # the budget counts partial assignments over all subset terms together
+    model = PlantedModel(20, 0.1, complete_graph(9))
     with pytest.raises(BudgetExceededError):
-        planted_expectation(k3, PlantedModel(1000, 0.5, empty_graph(3)), budget=10**6)
+        planted_edge_deltas(k4, model, budget=100)
+    with pytest.raises(BudgetExceededError):
+        planted_expectation(k4, model, budget=100)
+
+
+def test_planted_empty_graph_is_a_closed_form(k3):
+    # only the empty subset contributes, and it enumerates nothing
+    got = planted_expectation(k3, PlantedModel(1000, 0.5, empty_graph(3)), budget=1)
+    assert got == pytest.approx(0.5**3 * math.comb(1000, 3), rel=1e-12)
+
+
+def _disjoint_copies(pat, count):
+    """count vertex-disjoint copies of the pattern, on labels 0..count*q-1."""
+    q = pat.q
+    return [(u + c * q, v + c * q) for c in range(count) for u, v in pat.graph.edges]
+
+
+def test_planted_edge_deltas_vs_oracle(k3, c4, k4):
+    rng = np.random.default_rng(29)
+    cases = []
+    for pat in (k3, c4, k4):
+        for _ in range(6):
+            support = int(rng.integers(pat.q, 7))
+            while True:
+                edges = [e for e in combinations(range(support), 2) if rng.random() < 0.6]
+                if edges:
+                    break
+            cases.append((pat, support + int(rng.integers(1, 3)), edges))
+        cases.append((pat, 2 * pat.q + 1, _disjoint_copies(pat, 2)))
+    for pat, n, edges in cases:
+        p = float(rng.uniform(0.05, 0.9))
+        model = PlantedModel(n, p, SimpleGraph(n, edges))
+        expectation, deltas = planted_edge_deltas(pat, model)
+        want = planted_expectation_oracle(pat.graph.edges, n, p, edges)
+        assert expectation == pytest.approx(want, rel=1e-10)
+        assert set(deltas) == set(model.planted.edges)
+        for f in edges:
+            rooted = edge_rooted_oracle(pat.graph.edges, n, p, edges, f)
+            assert deltas[f] == pytest.approx((1 - p) * rooted, rel=1e-10)
+            assert deltas[f] == pytest.approx(planted_edge_delta(pat, model, f)[0], rel=1e-12)
+
+
+def test_plan_cache_is_bounded():
+    info = counting._plan.cache_info()
+    assert info.maxsize == counting.PLAN_CACHE_SIZE
+    assert sweep_peel(("k3", "c4"), (2, 8), n=30) == []
+    info = counting._plan.cache_info()
+    assert 0 < info.currsize <= counting.PLAN_CACHE_SIZE
 
 
 def test_edge_delta_closed_forms(k3):
