@@ -27,6 +27,15 @@ on f, with one factor (1-p) fewer:
 One kernel run per subset T therefore yields the expectation and, if each
 leaf credits the images of T's edges, every deletion drop
 delta(f) = (1-p) * rooted(f) = E[G*] - E[G* - f] at once.
+
+Exact probabilities for n <= 7 index every labeled graph by its row-major
+edge bitmask. Each array over the 2^C(n,2) masks comes from one subset
+closure: mark some masks, then for each edge slot let every mask with that
+bit set take in the entry of the mask without it. On bool entries this
+answers "contains a marked mask", on integers "how many marked masks".
+Copy counts mark the copies of the pattern in K_n, edge counts the single
+edges, and the disjoint-copies and spanned-copies events the edge unions of
+their qualifying copy families.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .errors import (
     EdgeAbsentError,
     TooLargeError,
 )
-from .graphs import Pattern, SimpleGraph
+from .graphs import Pattern, SimpleGraph, complete_graph
 
 DEFAULT_MAP_BUDGET = 10**9  # partial assignments per enumeration call
 DEFAULT_PLANTED_BUDGET = 10**8  # partial assignments per planted-model call
@@ -365,8 +374,6 @@ def _edge_slots(n: int):
 def _kn_copies(P: Pattern, n: int):
     """All copies of the pattern inside the complete graph on n vertices,
     as (bitmask, vertex frozenset) pairs."""
-    from .graphs import complete_graph
-
     if n < P.q:
         return ()
     slots = _edge_slots(n)
@@ -379,34 +386,47 @@ def _kn_copies(P: Pattern, n: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _all_masks(m_slots: int):
-    arr = np.arange(1 << m_slots, dtype=np.uint32)
+def _copy_masks(P: Pattern, n: int):
+    """Edge mask of every copy of the pattern in K_n, lazily."""
+    for mask, _ in _kn_copies(P, n):
+        yield mask
+
+
+def _subset_closure(n: int, marked, dtype) -> np.ndarray:
+    """For every labeled graph on n vertices (n <= 7), indexed by its
+    row-major edge bitmask: whether it contains a marked mask (bool dtype),
+    or how many of the distinct marked masks it contains (integer dtype).
+
+    Marks the masks in a zero array of 2^C(n,2) entries, then folds each
+    edge slot b in turn: every mask with bit b set takes in the entry of the
+    same mask without it. The size check comes before `marked` is consumed,
+    so a lazy iterable costs nothing on a refused n.
+    """
+    if n > MAX_EXACT_N:
+        raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
+    m_slots = n * (n - 1) // 2
+    arr = np.zeros(1 << m_slots, dtype=dtype)
+    arr[np.fromiter(marked, dtype=np.int64)] = 1
+    fold = np.bitwise_or if arr.dtype == bool else np.add
+    for b in range(m_slots):
+        v = arr.reshape(-1, 2, 1 << b)
+        fold(v[:, 1], v[:, 0], out=v[:, 1])
     arr.setflags(write=False)
     return arr
 
 
 @lru_cache(maxsize=16)
-def _popcounts(m_slots: int):
-    pc = np.bitwise_count(_all_masks(m_slots)).astype(np.uint8)
-    pc.setflags(write=False)
-    return pc
+def _popcounts(n: int):
+    """Edge count of every labeled graph on n vertices: the single-edge
+    masks it contains."""
+    return _subset_closure(n, (1 << b for b in range(n * (n - 1) // 2)), np.uint8)
 
 
 @lru_cache(maxsize=32)
 def copy_count_array(P: Pattern, n: int) -> np.ndarray:
     """Pattern-copy count of every labeled graph on n vertices (n <= 7),
     indexed by the row-major edge bitmask."""
-    if n > MAX_EXACT_N:
-        raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
-    m_slots = n * (n - 1) // 2
-    masks = _all_masks(m_slots)
-    counts = np.zeros(len(masks), dtype=np.uint16)
-    for cmask, _ in _kn_copies(P, n):
-        cm = np.uint32(cmask)
-        counts += ((masks & cm) == cm).astype(np.uint16)
-    counts.setflags(write=False)
-    return counts
+    return _subset_closure(n, _copy_masks(P, n), np.uint16)
 
 
 def _union_find_components(items, vertex_sets):
@@ -435,9 +455,19 @@ def _union_find_components(items, vertex_sets):
     return list(groups.values())
 
 
-def _connected_copy_subsets(copies, size, cap):
-    """All size-element sets of copy indices whose overlap graph (copies
-    sharing a vertex) restricted to the set is connected; each set once."""
+def _capped(items, cap, what):
+    """The items, lazily, raising BudgetExceededError on item cap + 1."""
+    for i, item in enumerate(items):
+        if i == cap:
+            raise BudgetExceededError(f"{what} enumeration cap hit")
+        yield item
+
+
+def _connected_copy_unions(P: Pattern, n: int, size: int):
+    """Edge-mask union of every size-element set of the pattern's copies in
+    the complete graph on n vertices whose overlap graph (copies sharing a
+    vertex) restricted to the set is connected, one per set, lazily."""
+    copies = _kn_copies(P, n)
     k = len(copies)
     nbrs = [set() for _ in range(k)]
     for i in range(k):
@@ -445,13 +475,10 @@ def _connected_copy_subsets(copies, size, cap):
             if copies[i][1] & copies[j][1]:
                 nbrs[i].add(j)
                 nbrs[j].add(i)
-    out = []
 
-    def grow(sub, frontier, forbidden, root):
+    def grow(sub, union, frontier, forbidden, root):
         if len(sub) == size:
-            out.append(tuple(sorted(sub)))
-            if len(out) > cap:
-                raise BudgetExceededError("connected copy-subset enumeration cap hit")
+            yield union
             return
         cand = sorted(frontier)
         for idx, w in enumerate(cand):
@@ -459,11 +486,10 @@ def _connected_copy_subsets(copies, size, cap):
             # subset is produced exactly once
             forb = forbidden | set(cand[:idx])
             front = (frontier | {u for u in nbrs[w] if u > root}) - sub - forb - {w}
-            grow(sub | {w}, front, forb, root)
+            yield from grow(sub | {w}, union | copies[w][0], front, forb, root)
 
     for root in range(k):
-        grow({root}, {u for u in nbrs[root] if u > root}, set(), root)
-    return out
+        yield from grow({root}, copies[root][0], {u for u in nbrs[root] if u > root}, set(), root)
 
 
 @dataclass(frozen=True)
@@ -489,39 +515,24 @@ class DisjointCopies:
     family_cap: int = 500_000
 
     def _families(self, n: int):
+        """Edge-mask union of every family of s pairwise vertex-disjoint
+        copies in the complete graph on n vertices, lazily."""
         copies = _kn_copies(self.pattern, n)
-        out = []
 
-        def rec(start, chosen_masks, chosen_verts, left):
-            if left == 0:
-                out.append(tuple(chosen_masks))
-                if len(out) > self.family_cap:
-                    raise BudgetExceededError("disjoint-family enumeration cap hit")
+        def rec(start, union, chosen_verts, left):
+            if left <= 0:
+                yield union
                 return
             for i in range(start, len(copies)):
                 mask, vs = copies[i]
-                if vs & chosen_verts:
-                    continue
-                rec(i + 1, chosen_masks + [mask], chosen_verts | vs, left - 1)
+                if not vs & chosen_verts:
+                    yield from rec(i + 1, union | mask, chosen_verts | vs, left - 1)
 
-        rec(0, [], frozenset(), self.s)
-        return out
+        yield from rec(0, 0, frozenset(), self.s)
 
     def mask_array(self, n: int) -> np.ndarray:
-        m_slots = n * (n - 1) // 2
-        masks = _all_masks(m_slots)
-        if self.s <= 0:
-            return np.ones(len(masks), dtype=bool)
-        pred = np.zeros(len(masks), dtype=bool)
-        unions = set()
-        for fam in self._families(n):
-            um = 0
-            for mask in fam:
-                um |= mask
-            unions.add(np.uint32(um))
-        for um in unions:
-            pred |= (masks & um) == um
-        return pred
+        unions = _capped(self._families(n), self.family_cap, "disjoint-family")
+        return _subset_closure(n, unions, bool)
 
     def holds(self, g: SimpleGraph) -> bool:
         if self.s <= 0:
@@ -552,23 +563,10 @@ class HasSpannedWithCopies:
     subset_cap: int = 500_000
 
     def mask_array(self, n: int) -> np.ndarray:
-        m_slots = n * (n - 1) // 2
-        masks = _all_masks(m_slots)
         if self.count <= 0:
-            return np.ones(len(masks), dtype=bool)
-        copies = _kn_copies(self.pattern, n)
-        if self.count == 1:
-            return CopiesAtLeast(self.pattern, 1).mask_array(n)
-        pred = np.zeros(len(masks), dtype=bool)
-        unions = set()
-        for subset in _connected_copy_subsets(copies, self.count, self.subset_cap):
-            um = 0
-            for i in subset:
-                um |= copies[i][0]
-            unions.add(np.uint32(um))
-        for um in unions:
-            pred |= (masks & um) == um
-        return pred
+            return _subset_closure(n, (0,), bool)
+        unions = _connected_copy_unions(self.pattern, n, self.count)
+        return _subset_closure(n, _capped(unions, self.subset_cap, "connected copy-subset"), bool)
 
     def holds(self, g: SimpleGraph) -> bool:
         if self.count <= 0:
@@ -598,11 +596,9 @@ def exact_probability(model, pred) -> float:
     """Exact probability of the event under G(n, p), by summing the weight
     p**m (1-p)**(C(n,2)-m) over all labeled graphs satisfying the predicate."""
     n = model.n
-    if n > MAX_EXACT_N:
-        raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     m_slots = n * (n - 1) // 2
     bits = pred.mask_array(n)
-    pc = _popcounts(m_slots)
+    pc = _popcounts(n)
     cnt = np.bincount(pc[bits], minlength=m_slots + 1)
     w = _weights_by_popcount(m_slots, model.p)
     return float(np.dot(cnt.astype(np.float64), w))
@@ -610,11 +606,9 @@ def exact_probability(model, pred) -> float:
 
 def tail_probability_table(P: Pattern, n: int, p: float) -> np.ndarray:
     """P(copy count >= k) for k = 0..max over all labeled graphs; entry [k]."""
-    if n > MAX_EXACT_N:
-        raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     m_slots = n * (n - 1) // 2
     counts = copy_count_array(P, n)
-    pc = _popcounts(m_slots)
+    pc = _popcounts(n)
     kmax = int(counts.max())
     hist = np.zeros((m_slots + 1, kmax + 1))
     np.add.at(hist, (pc, counts), 1.0)

@@ -22,7 +22,7 @@ from .errors import (
     TooSmallError,
 )
 
-MAX_PATTERN_VERTICES = 10  # automorphism search is brute force over q! maps
+MAX_PATTERN_VERTICES = 10  # K_q still has q! automorphisms to enumerate
 
 
 class SimpleGraph:
@@ -144,28 +144,17 @@ class Pattern:
         return f"Pattern(q={self.q}, delta={self.delta}, aut={self.aut_count})"
 
 
-def _automorphism_count(g: SimpleGraph) -> int:
-    edge_set = g._edge_set
-    count = 0
-    for perm in itertools.permutations(range(g.n)):
-        ok = True
-        for u, v in g.edges:
-            pu, pv = perm[u], perm[v]
-            if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
 def make_pattern(g: SimpleGraph) -> Pattern:
     """Validate a pattern graph and compute its invariants.
 
     Raises TooSmallError, NotRegularError or NotConnectedError naming the
-    violated invariant. Patterns are capped at 10 vertices because the
-    automorphism count is found by exhaustive search over all q! vertex maps.
+    violated invariant. The automorphism count is the number of injective
+    maps of the pattern into itself, from the copy kernel; patterns are
+    capped at 10 vertices because that enumerates every automorphism, up to
+    q! of them for K_q.
     """
+    from .counting import DEFAULT_MAP_BUDGET, _count_maps, _plan  # counting imports graphs
+
     if g.n < 3:
         raise TooSmallError(f"pattern needs at least 3 vertices, got {g.n}")
     if g.n > MAX_PATTERN_VERTICES:
@@ -185,7 +174,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         q=g.n,
         delta=delta,
         edge_count=g.m,
-        aut_count=_automorphism_count(g),
+        aut_count=_count_maps(_plan(g), g, (), [DEFAULT_MAP_BUDGET]),
     )
 
 

@@ -1,8 +1,11 @@
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     edge_rooted_oracle,
@@ -16,6 +19,7 @@ from regtail.counting import (
     DisjointCopies,
     HasSpannedWithCopies,
     PlantedModel,
+    copy_count_array,
     count_copies,
     count_copies_through_edge,
     count_injective_homs,
@@ -28,7 +32,7 @@ from regtail.counting import (
     tail_probability_table,
 )
 from regtail.errors import BudgetExceededError, DomainError, EdgeAbsentError, TooLargeError
-from regtail.graphs import GnpModel, SimpleGraph, complete_graph, empty_graph
+from regtail.graphs import GnpModel, SimpleGraph, complete_graph, empty_graph, named_pattern
 from regtail.verify import sweep_peel
 
 
@@ -269,6 +273,53 @@ def test_exact_probability_against_direct_enumeration(k3, c4):
             want = exact_probability_oracle(pat.graph.edges, n, p, kind, arg)
             got = exact_probability(GnpModel(n, p), pred)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_exact_arrays_refuse_n8(k3):
+    with pytest.raises(TooLargeError):
+        copy_count_array(k3, 8)
+    with pytest.raises(TooLargeError):
+        DisjointCopies(k3, 2).mask_array(8)
+    with pytest.raises(TooLargeError):
+        HasSpannedWithCopies(k3, 2).mask_array(8)
+
+
+_K3, _C4, _K4 = (named_pattern(name) for name in ("k3", "c4", "k4"))
+_EVENTS = (
+    DisjointCopies(_K3, 2),
+    HasSpannedWithCopies(_K3, 3),
+    HasSpannedWithCopies(_C4, 3),
+    HasSpannedWithCopies(_K3, 4),
+)
+
+
+@lru_cache(maxsize=None)
+def _event_array(event, n):
+    return event.mask_array(n)
+
+
+@st.composite
+def _graph_masks(draw):
+    """(n, edge bitmask) for n = 6 or 7: a G(n, p) draw from a drawn seed,
+    with p spread so that each event both holds and fails."""
+    n = draw(st.sampled_from((6, 7)))
+    p = draw(st.sampled_from((0.25, 0.4, 0.55, 0.7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, sum(1 << i for i in np.flatnonzero(rng.random(n * (n - 1) // 2) < p).tolist())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_graph_masks())
+def test_exact_arrays_match_direct_counts(n_mask):
+    """Every exact array entry agrees with the event or count evaluated on
+    the graph the mask encodes (bit i is the i-th pair in row-major order)."""
+    n, mask = n_mask
+    pairs = combinations(range(n), 2)
+    g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+    for event in _EVENTS:
+        assert bool(_event_array(event, n)[mask]) == event.holds(g), event
+    for pat in (_K3, _C4, _K4):
+        assert int(copy_count_array(pat, n)[mask]) == count_copies(pat, g)
 
 
 def test_exact_probability_monotone_in_p(k3):

@@ -70,6 +70,14 @@ def test_complete_graph_automorphisms():
         assert p.aut_count == math.factorial(q)
 
 
+def test_petersen_automorphisms():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    p = make_pattern(SimpleGraph(10, outer + spokes + inner))
+    assert (p.q, p.delta, p.edge_count, p.aut_count) == (10, 3, 15, 120)
+
+
 def test_threshold_probability():
     assert threshold_probability(100, 2) == pytest.approx(0.01)
     assert threshold_probability(16, 4) == pytest.approx(0.25)
