@@ -173,6 +173,11 @@ def count_injective_homs(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_B
     return _count_maps(_plan(P.graph), g, (), [budget])
 
 
+def count_automorphisms(g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
+    """Number of automorphisms of g: the injective maps of g into itself."""
+    return _count_maps(_plan(g), g, (), [budget])
+
+
 def _per_copy(P: Pattern, maps: int) -> int:
     """Copy count from a count of injective maps, each copy hit |Aut| times."""
     if maps % P.aut_count:

@@ -153,7 +153,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
     capped at 10 vertices because that enumerates every automorphism, up to
     q! of them for K_q.
     """
-    from .counting import DEFAULT_MAP_BUDGET, _count_maps, _plan  # counting imports graphs
+    from .counting import count_automorphisms  # deferred: counting imports graphs
 
     if g.n < 3:
         raise TooSmallError(f"pattern needs at least 3 vertices, got {g.n}")
@@ -174,7 +174,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         q=g.n,
         delta=delta,
         edge_count=g.m,
-        aut_count=_count_maps(_plan(g), g, (), [DEFAULT_MAP_BUDGET]),
+        aut_count=count_automorphisms(g),
     )
 
 

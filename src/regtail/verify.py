@@ -20,7 +20,6 @@ from .graphs import (
     complete_graph,
     make_pattern,
     named_pattern,
-    sample_gnp_with,
     threshold_probability,
 )
 
@@ -40,7 +39,17 @@ def pattern_from_payload(rec) -> Pattern:
 
 
 def _random_graph(rng, n):
-    return sample_gnp_with(n, float(rng.uniform(0.1, 0.9)), rng)
+    p = float(rng.uniform(0.1, 0.9))
+    m = n * (n - 1) // 2
+    mask = rng.random(m) < p
+    edges = []
+    i = 0
+    for u in range(n - 1):
+        for v in range(u + 1, n):
+            if mask[i]:
+                edges.append((u, v))
+            i += 1
+    return SimpleGraph(n, edges)
 
 
 def check_finner(P: Pattern, g: SimpleGraph, name=None):

@@ -4,8 +4,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (
     edge_rooted_oracle,
@@ -20,6 +18,7 @@ from regtail.counting import (
     HasSpannedWithCopies,
     PlantedModel,
     copy_count_array,
+    count_automorphisms,
     count_copies,
     count_copies_through_edge,
     count_injective_homs,
@@ -40,6 +39,14 @@ def test_hom_counts(k3, c4, k5):
     assert count_injective_homs(k3, complete_graph(4)) == 24
     assert count_injective_homs(k3, empty_graph(5)) == 0
     assert count_injective_homs(c4, complete_graph(4)) == 24
+
+
+def test_count_automorphisms(c4):
+    assert count_automorphisms(complete_graph(5)) == 120
+    assert count_automorphisms(c4.graph) == 8
+    assert count_automorphisms(SimpleGraph(5, [(0, 1), (1, 2), (2, 3)])) == 2
+    with pytest.raises(BudgetExceededError):
+        count_automorphisms(complete_graph(6), budget=5)
 
 
 def test_copy_counts(k3, c4):
@@ -298,24 +305,17 @@ def _event_array(event, n):
     return event.mask_array(n)
 
 
-@st.composite
-def _graph_masks(draw):
-    """(n, edge bitmask) for n = 6 or 7: a G(n, p) draw from a drawn seed,
-    with p spread so that each event both holds and fails."""
-    n = draw(st.sampled_from((6, 7)))
-    p = draw(st.sampled_from((0.25, 0.4, 0.55, 0.7)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return n, sum(1 << i for i in np.flatnonzero(rng.random(n * (n - 1) // 2) < p).tolist())
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(_graph_masks())
-def test_exact_arrays_match_direct_counts(n_mask):
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("p", (0.25, 0.4, 0.55, 0.7))
+@pytest.mark.parametrize("n", (6, 7))
+def test_exact_arrays_match_direct_counts(n, p, seed):
     """Every exact array entry agrees with the event or count evaluated on
-    the graph the mask encodes (bit i is the i-th pair in row-major order)."""
-    n, mask = n_mask
-    pairs = combinations(range(n), 2)
-    g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+    the graph its mask encodes (bit i is the i-th pair in row-major order),
+    for seeded G(n, p) draws with p spread so that each event holds and fails."""
+    pairs = list(combinations(range(n), 2))
+    present = np.random.default_rng(seed).random(len(pairs)) < p
+    mask = sum(1 << i for i in np.flatnonzero(present).tolist())
+    g = SimpleGraph(n, [e for e, keep in zip(pairs, present) if keep])
     for event in _EVENTS:
         assert bool(_event_array(event, n)[mask]) == event.holds(g), event
     for pat in (_K3, _C4, _K4):
