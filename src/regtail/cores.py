@@ -357,9 +357,8 @@ def clique_seed_size(P: Pattern, k: int) -> int:
     """Smallest clique size s whose copy count comb(s, q)*q!/aut reaches k."""
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    per_set = math.factorial(P.q) // P.aut_count
     s = P.q
-    while math.comb(s, P.q) * per_set < k:
+    while math.comb(s, P.q) * P.copies_per_set < k:
         s += 1
     return s
 

@@ -3,14 +3,21 @@
 Vertices are dense integer labels 0..n-1. Graphs are immutable after
 construction and safe to share across threads; all randomness flows through
 numpy Generators so that identical seeds reproduce identical graphs on any
-platform (per-edge decisions are drawn in row-major edge order).
+platform.
+
+G(n, p) is sampled in batches: the edge slots of `count` graphs, in
+row-major order graph after graph, form one Bernoulli(p) process whose
+successes are found by summing geometric gaps (Batagelj and Brandes,
+"Efficient generation of large random networks", Phys. Rev. E 71, 036113,
+2005). The work is proportional to the number of edges drawn, not to the
+C(n, 2) slots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -140,6 +147,11 @@ class Pattern:
     edge_count: int
     aut_count: int
 
+    @property
+    def copies_per_set(self) -> int:
+        """Copies of the pattern in K_q: q!/aut."""
+        return math.factorial(self.q) // self.aut_count
+
     def __repr__(self):
         return f"Pattern(q={self.q}, delta={self.delta}, aut={self.aut_count})"
 
@@ -204,37 +216,67 @@ def threshold_probability(n: int, delta: int) -> float:
     return float(n) ** (-2.0 / delta)
 
 
-@lru_cache(maxsize=32)
-def _row_major_pairs(n: int):
-    """Flat arrays u_of[i], v_of[i] for edge slots in row-major order."""
+def _bernoulli_hits(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of the successes among `total` Bernoulli(p) trials,
+    0 < p <= 1, as cumulative sums of geometric gaps.
+
+    Each draw covers the expected remaining hits plus four standard
+    deviations, so one draw almost always reaches past the end.
+    """
+    parts = []
+    last = -1
+    while last < total - 1:
+        mean = (total - 1 - last) * p
+        gaps = rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
+        np.minimum(gaps, total, out=gaps)  # a longer gap ends the process anyway
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        parts.append(gaps)
+        last = int(gaps[-1])
+    hits = np.concatenate(parts)
+    return hits[: np.searchsorted(hits, total)]
+
+
+def _slot_pairs(n: int, slots: np.ndarray):
+    """Endpoint arrays (u, v), u < v, of row-major edge slots of K_n.
+
+    Slot s = u*(2n-u-1)/2 + (v-u-1); u is the root of that quadratic,
+    rounded down and then corrected by one where floating point misses.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    b = 2 * n - 1
+    u = np.floor((b - np.sqrt(b * b - 8.0 * slots)) / 2.0).astype(np.int64)
+    u -= u * (b - u) // 2 > slots
+    u += (u + 1) * (b - u - 1) // 2 <= slots
+    v = slots - u * (b - u) // 2 + u + 1
+    return u, v
+
+
+def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
+    """Edges of `count` independent G(n, p) samples as arrays (graph, u, v).
+
+    Edge i joins u[i] < v[i] in graph graph[i], 0 <= graph[i] < count; the
+    arrays are sorted by graph, then by (u, v). Time and memory are
+    proportional to the number of edges drawn.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
+    if n < 0 or count < 0:
+        raise DomainError(f"n and count must be nonnegative, got n={n}, count={count}")
     m = n * (n - 1) // 2
-    u_of = np.empty(m, dtype=np.int64)
-    v_of = np.empty(m, dtype=np.int64)
-    i = 0
-    for u in range(n - 1):
-        c = n - 1 - u
-        u_of[i : i + c] = u
-        v_of[i : i + c] = np.arange(u + 1, n)
-        i += c
-    u_of.setflags(write=False)
-    v_of.setflags(write=False)
-    return u_of, v_of
+    if m * count == 0 or p == 0.0:
+        hits = np.empty(0, dtype=np.int64)
+        return hits, hits.copy(), hits.copy()
+    graph, slot = np.divmod(_bernoulli_hits(m * count, p, rng), m)
+    u, v = _slot_pairs(n, slot)
+    return graph, u, v
 
 
 def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
-    """Draw one G(n, p) sample from an existing generator.
-
-    One uniform is consumed per potential edge, in row-major edge order, so
-    the stream position after the call is the same on every platform.
-    """
-    m = n * (n - 1) // 2
-    if m == 0:
-        return empty_graph(n)
-    mask = rng.random(m) < p
-    u_of, v_of = _row_major_pairs(n)
-    idx = np.nonzero(mask)[0]
-    edges = list(zip(u_of[idx].tolist(), v_of[idx].tolist()))
-    return SimpleGraph(n, edges)
+    """Draw one G(n, p) sample from an existing generator: the batch
+    sampler with count = 1."""
+    _, u, v = sample_gnp_batch(n, p, 1, rng)
+    return SimpleGraph(n, zip(u.tolist(), v.tolist()))
 
 
 def sample_gnp(model: GnpModel) -> SimpleGraph:

@@ -5,6 +5,13 @@ Sampling work is split over a fixed number of logical workers, each with an
 independent stream derived from (seed, worker index); aggregation is
 order-independent, so identical (seed, workers) always reproduces identical
 numbers regardless of how the workers are executed.
+
+Monte Carlo copy counts come from one batched engine. A worker's share is
+sampled in chunks of graphs as edge arrays, every graph of a chunk is peeled
+to its delta-core at once in numpy (a delta-regular pattern's copies all lie
+there), and the copy kernel runs only on the graphs whose core is nonempty.
+Near the threshold p = n**(-2/delta) most samples are sparse and copy-free,
+so the cost follows the edges drawn rather than the C(n, 2) vertex pairs.
 """
 
 from __future__ import annotations
@@ -23,13 +30,21 @@ from .counting import (
     count_copies,
     tail_probability_table,
 )
+from .bounds import tail_rate
 from .cores import clique_seed_size
 from .errors import (
     BlockTooSmallError,
     DomainError,
     TooFewVerticesError,
 )
-from .graphs import GnpModel, Pattern, sample_gnp_with, threshold_probability, worker_rng
+from .graphs import (
+    GnpModel,
+    Pattern,
+    SimpleGraph,
+    sample_gnp_batch,
+    threshold_probability,
+    worker_rng,
+)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -71,27 +86,72 @@ class TailRow:
     disjoint_lb: float | None = None
 
 
+# Entries of the largest per-chunk array (edges, or vertices over all the
+# chunk's graphs): 2,621 graphs per chunk at n = 400 and p = 1/n, about
+# 80 MiB at peak.
+MC_CHUNK_ENTRIES = 1 << 20
+
+
+def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarray:
+    """Indices of the edges (a[i], b[i]) on vertices 0..size-1 that lie in
+    the delta-core: edges at a vertex of degree below delta are dropped, and
+    survivors relabeled onto their live vertices, until none is dropped."""
+    idx = np.arange(len(a))
+    while len(idx):
+        alive = np.bincount(np.concatenate((a, b)), minlength=size) >= delta
+        keep = alive[a] & alive[b]
+        if keep.all():
+            break
+        label = np.cumsum(alive) - 1
+        size = int(label[-1]) + 1
+        a, b, idx = label[a[keep]], label[b[keep]], idx[keep]
+    return idx
+
+
+def _batch_counts(P: Pattern, n: int, count: int, batch, budget: int) -> np.ndarray:
+    """Copy counts of the `count` graphs of one sampled batch (graph, u, v).
+
+    Every vertex of a copy of a delta-regular pattern has degree delta in
+    the copy, so every copy lies in the delta-core. The kernel runs only on
+    graphs with a nonempty core, and only on its edges.
+    """
+    graph, u, v = batch
+    keep = _core_edges(graph * n + u, graph * n + v, count * n, P.delta)
+    graph, u, v = graph[keep], u[keep], v[keep]
+    out = np.zeros(count, dtype=np.int64)
+    cut = np.flatnonzero(np.diff(graph)) + 1
+    for start, gu, gv in zip(np.r_[0, cut], np.split(u, cut), np.split(v, cut)):
+        if len(gu):
+            g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
+            out[graph[start]] = count_copies(P, g, budget)
+    return out
+
+
 def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
                budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
     """Copy counts of `samples` independent G(n, p) draws.
 
     Worker w handles a fixed contiguous share using the stream derived from
-    (seed, w), so the multiset of counts depends only on (seed, workers).
+    (seed, w), so the counts depend only on (seed, workers). A share is
+    sampled and counted in chunks whose size depends only on n and p.
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers}")
+    n, p = model.n, model.p
+    chunk = max(1, MC_CHUNK_ENTRIES // max(n, math.ceil(n * (n - 1) // 2 * p), 1))
     base, rem = divmod(samples, workers)
     out = np.empty(samples, dtype=np.int64)
     pos = 0
     for w in range(workers):
-        cnt = base + (1 if w < rem else 0)
+        share = base + (1 if w < rem else 0)
         rng = worker_rng(model.seed, w)
-        for _ in range(cnt):
-            g = sample_gnp_with(model.n, model.p, rng)
-            out[pos] = count_copies(P, g, budget)
-            pos += 1
+        for start in range(0, share, chunk):
+            size = min(chunk, share - start)
+            batch = sample_gnp_batch(n, p, size, rng)
+            out[pos : pos + size] = _batch_counts(P, n, size, batch, budget)
+            pos += size
     return out
 
 
@@ -124,8 +184,7 @@ class PoissonDiagnostic:
 
 def expected_copy_count(P: Pattern, n: int, p: float) -> float:
     """Exact expected copy count comb(n, q) * (q!/aut) * p**edges."""
-    per_set = math.factorial(P.q) // P.aut_count
-    return math.comb(n, P.q) * per_set * p**P.edge_count
+    return math.comb(n, P.q) * P.copies_per_set * p**P.edge_count
 
 
 def poisson_diagnostic(P: Pattern, model: GnpModel, samples: int,
@@ -201,12 +260,6 @@ def disjoint_lower_bound(P: Pattern, n: int, p: float, s: int,
     )
 
 
-def _rate_value(k: int, n: int, q: int) -> float:
-    """min(k*ln(k), k**(2/q)*ln(n)), extended by continuity to k in {0, 1}."""
-    xlx = 0.0 if k == 0 else k * math.log(k)
-    return min(xlx, k ** (2.0 / q) * math.log(n))
-
-
 def crossover_k(q: int, log_n: float) -> int:
     """Smallest integer k >= 2 with k**(1-2/q) * ln(k) >= log_n, the point
     where the k*ln(k) mechanism overtakes k**(2/q)*ln(n)."""
@@ -276,7 +329,7 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
                 k=k, n=n, p=p,
                 estimate=succ / samples, ci_low=lo, ci_high=hi,
                 samples=samples, exact=exact,
-                L_value=_rate_value(k, n, P.q),
+                L_value=tail_rate(k, n, P.q) if k >= 2 else 0.0,
                 clique_lb=clq, disjoint_lb=dis,
             )
         )

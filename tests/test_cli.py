@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -37,6 +38,16 @@ def test_sample_roundtrip(tmp_path, capsys):
     assert out.read_text() == write_edge_list(complete_graph(5))
     assert main(["sample", "--n", "4", "--p", "0", "--seed", "3"]) == 0
     assert capsys.readouterr().out == "4 0\n"
+
+
+def test_sample_large_n(tmp_path):
+    # threshold p = 1e-5 gives about 50k edges out of 5e9 vertex pairs
+    out = tmp_path / "g.edges"
+    assert main(["sample", "--n", "100000", "--seed", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    n, m = map(int, lines[0].split())
+    assert n == 100_000 and len(lines) == m + 1
+    assert abs(m - 49_999.5) < 5 * math.sqrt(49_999.5)
 
 
 def test_decompose_json(k5_file, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,14 @@ from regtail.errors import (
 from regtail.graphs import (
     GnpModel,
     SimpleGraph,
+    _slot_pairs,
     complete_graph,
     cycle_graph,
     empty_graph,
     make_pattern,
     read_edge_list,
     sample_gnp,
+    sample_gnp_batch,
     sample_gnp_with,
     thin_edges,
     threshold_probability,
@@ -112,6 +115,48 @@ def test_sample_gnp_mean_edge_count():
     mean = total / n_samples
     sigma = math.sqrt(4950 * 0.01 * 0.99 / n_samples)
     assert abs(mean - 49.5) <= 3 * sigma
+
+
+def test_batch_slot_frequencies():
+    # each of the 10 slots of K5 holds an edge in a share p of 20000 graphs
+    n, p, count = 5, 0.3, 20_000
+    graph, u, v = sample_gnp_batch(n, p, count, worker_rng(11, 0))
+    assert np.all(np.diff(graph * 25 + u * 5 + v) > 0)  # sorted, no repeats
+    freq = np.bincount(u * (2 * n - u - 1) // 2 + v - u - 1, minlength=10) / count
+    se = math.sqrt(p * (1 - p) / count)
+    assert np.all(np.abs(freq - p) <= 5 * se), freq
+    per_graph = np.bincount(graph, minlength=count)
+    assert abs(per_graph.mean() - 10 * p) <= 5 * math.sqrt(10 * p * (1 - p) / count)
+
+
+def test_batch_endpoints_and_empty_cases():
+    rng = worker_rng(3, 0)
+    graph, u, v = sample_gnp_batch(6, 1.0, 3, rng)
+    pairs = list(itertools.combinations(range(6), 2))
+    assert graph.tolist() == [i for i in range(3) for _ in pairs]
+    assert list(zip(u.tolist(), v.tolist())) == pairs * 3
+    assert all(len(a) == 0 for a in sample_gnp_batch(6, 0.0, 3, rng))
+    for n in (0, 1, 2):
+        assert all(len(a) == 0 for a in sample_gnp_batch(n, 0.5, 0, rng))
+    for n in (0, 1):
+        assert all(len(a) == 0 for a in sample_gnp_batch(n, 1.0, 4, rng))
+    assert sample_gnp_batch(2, 1.0, 2, rng)[0].tolist() == [0, 1]
+    with pytest.raises(DomainError):
+        sample_gnp_batch(5, 1.5, 1, rng)
+
+
+def test_slot_pairs_row_major():
+    for n in range(61):
+        u, v = _slot_pairs(n, np.arange(n * (n - 1) // 2))
+        assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
+    # the last 20 rows of K_100000, where float rounding is closest to an edge
+    n = 100_000
+    rows = range(n - 21, n - 1)
+    want_u = np.concatenate([np.full(n - 1 - r, r) for r in rows])
+    want_v = np.concatenate([np.arange(r + 1, n) for r in rows])
+    m = n * (n - 1) // 2
+    u, v = _slot_pairs(n, np.arange(m - len(want_u), m))
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
 
 def test_thin_edges_endpoints():

@@ -1,12 +1,26 @@
 import math
 
+import numpy as np
 import pytest
 
-from regtail.counting import CopiesAtLeast, exact_probability, tail_probability_table
+from regtail.counting import (
+    CopiesAtLeast,
+    count_copies,
+    exact_probability,
+    tail_probability_table,
+)
 from regtail.errors import BlockTooSmallError, DomainError, TooFewVerticesError
-from regtail.graphs import GnpModel, threshold_probability
+from regtail.graphs import (
+    GnpModel,
+    SimpleGraph,
+    named_pattern,
+    sample_gnp_batch,
+    threshold_probability,
+    worker_rng,
+)
 from regtail.tails import (
     CSV_HEADER,
+    _mc_counts,
     clique_lower_bound,
     crossover_k,
     disjoint_lower_bound,
@@ -53,8 +67,30 @@ def test_mc_tail_deterministic(k3):
     a = mc_tail(k3, model, 2, 3000, workers=3)
     b = mc_tail(k3, model, 2, 3000, workers=3)
     assert a.estimate == b.estimate
-    c = mc_tail(k3, model, 2, 3000, workers=1)
-    assert c.estimate != a.estimate or c.estimate == a.estimate  # well-defined either way
+    # worker 0 of 3 draws the same share of 1000 from stream (seed, 0) as a lone worker
+    three = _mc_counts(k3, model, 3000, workers=3)
+    assert np.array_equal(three[:1000], _mc_counts(k3, model, 1000, workers=1))
+    assert three.sum() > 0
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
+@pytest.mark.parametrize("n", [7, 30, 400])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mc_counts_match_unpruned_kernel(name, n, seed):
+    # the delta-core prune drops no copy: the engine's counts equal the
+    # kernel's on the full graphs rebuilt from the same sampled edges
+    P = named_pattern(name)
+    p = 1.5 * threshold_probability(n, P.delta)  # every case then sees copies
+    counts = _mc_counts(P, GnpModel(n, p, seed), 80, workers=2)
+    want = []
+    for w in range(2):
+        graph, u, v = sample_gnp_batch(n, p, 40, worker_rng(seed, w))
+        for i in range(40):
+            hit = graph == i
+            g = SimpleGraph(n, zip(u[hit].tolist(), v[hit].tolist()))
+            want.append(count_copies(P, g))
+    assert counts.tolist() == want
+    assert sum(want) > 0
 
 
 def test_expected_copy_count(k3):
