@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import tail_rate
 from .counting import (
     DEFAULT_MAP_BUDGET,
     MAX_EXACT_N,
@@ -30,7 +31,6 @@ from .counting import (
     count_copies,
     tail_probability_table,
 )
-from .bounds import tail_rate
 from .cores import clique_seed_size
 from .errors import (
     BlockTooSmallError,
@@ -87,9 +87,9 @@ class TailRow:
 
 
 # Entries of the largest per-chunk array (edges, or vertices over all the
-# chunk's graphs): 2,621 graphs per chunk at n = 400 and p = 1/n, about
-# 80 MiB at peak.
-MC_CHUNK_ENTRIES = 1 << 20
+# chunk's graphs): 163 graphs per chunk at n = 400 and p = 1/n. Chunks of
+# 81 to 2,621 such graphs run equally fast; larger ones only cost memory.
+MC_CHUNK_ENTRIES = 1 << 16
 
 
 def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarray:
@@ -108,14 +108,14 @@ def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarr
     return idx
 
 
-def _batch_counts(P: Pattern, n: int, count: int, batch, budget: int) -> np.ndarray:
-    """Copy counts of the `count` graphs of one sampled batch (graph, u, v).
+def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int) -> np.ndarray:
+    """Copy counts of `count` G(n, p) graphs sampled as one batch.
 
     Every vertex of a copy of a delta-regular pattern has degree delta in
     the copy, so every copy lies in the delta-core. The kernel runs only on
     graphs with a nonempty core, and only on its edges.
     """
-    graph, u, v = batch
+    graph, u, v = sample_gnp_batch(n, p, count, rng)
     keep = _core_edges(graph * n + u, graph * n + v, count * n, P.delta)
     graph, u, v = graph[keep], u[keep], v[keep]
     out = np.zeros(count, dtype=np.int64)
@@ -149,8 +149,7 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
         rng = worker_rng(model.seed, w)
         for start in range(0, share, chunk):
             size = min(chunk, share - start)
-            batch = sample_gnp_batch(n, p, size, rng)
-            out[pos : pos + size] = _batch_counts(P, n, size, batch, budget)
+            out[pos : pos + size] = _batch_counts(P, n, p, size, rng, budget)
             pos += size
     return out
 
