@@ -92,6 +92,12 @@ class TailRow:
 MC_CHUNK_ENTRIES = 1 << 16
 
 
+def _chunk_graphs(n: int, p: float) -> int:
+    """Graphs per sampled chunk: its vertex and expected edge arrays stay
+    within MC_CHUNK_ENTRIES entries."""
+    return max(1, MC_CHUNK_ENTRIES // max(n, math.ceil(n * (n - 1) // 2 * p), 1))
+
+
 def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarray:
     """Indices of the edges (a[i], b[i]) on vertices 0..size-1 that lie in
     the delta-core: edges at a vertex of degree below delta are dropped, and
@@ -140,7 +146,7 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers}")
     n, p = model.n, model.p
-    chunk = max(1, MC_CHUNK_ENTRIES // max(n, math.ceil(n * (n - 1) // 2 * p), 1))
+    chunk = _chunk_graphs(n, p)
     base, rem = divmod(samples, workers)
     out = np.empty(samples, dtype=np.int64)
     pos = 0

@@ -20,6 +20,7 @@ from regtail.graphs import (
 )
 from regtail.tails import (
     CSV_HEADER,
+    _chunk_graphs,
     _mc_counts,
     clique_lower_bound,
     crossover_k,
@@ -83,12 +84,15 @@ def test_mc_counts_match_unpruned_kernel(name, n, seed):
     p = 1.5 * threshold_probability(n, P.delta)  # every case then sees copies
     counts = _mc_counts(P, GnpModel(n, p, seed), 80, workers=2)
     want = []
+    chunk = _chunk_graphs(n, p)  # K4 at n = 400 takes two chunks per worker
     for w in range(2):
-        graph, u, v = sample_gnp_batch(n, p, 40, worker_rng(seed, w))
-        for i in range(40):
-            hit = graph == i
-            g = SimpleGraph(n, zip(u[hit].tolist(), v[hit].tolist()))
-            want.append(count_copies(P, g))
+        rng = worker_rng(seed, w)
+        for start in range(0, 40, chunk):
+            graph, u, v = sample_gnp_batch(n, p, min(chunk, 40 - start), rng)
+            for i in range(min(chunk, 40 - start)):
+                hit = graph == i
+                g = SimpleGraph(n, zip(u[hit].tolist(), v[hit].tolist()))
+                want.append(count_copies(P, g))
     assert counts.tolist() == want
     assert sum(want) > 0
 
