@@ -228,7 +228,7 @@ def _bernoulli_hits(total: int, p: float, rng: np.random.Generator) -> np.ndarra
     while last < total - 1:
         mean = (total - 1 - last) * p
         gaps = rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
-        np.minimum(gaps, total, out=gaps)  # a longer gap ends the process anyway
+        np.minimum(gaps, total + 1, out=gaps)  # any longer gap also ends past the end
         np.cumsum(gaps, out=gaps)
         gaps += last
         parts.append(gaps)
@@ -240,16 +240,17 @@ def _bernoulli_hits(total: int, p: float, rng: np.random.Generator) -> np.ndarra
 def _slot_pairs(n: int, slots: np.ndarray):
     """Endpoint arrays (u, v), u < v, of row-major edge slots of K_n.
 
-    Slot s = u*(2n-u-1)/2 + (v-u-1); u is the root of that quadratic,
-    rounded down and then corrected by one where floating point misses.
+    Counted from the last slot, t = C(n, 2) - 1 - s lies in row n - 2 - k
+    for the k with k(k+1)/2 <= t < (k+1)(k+2)/2: the triangular root of t.
+    Counting from the end keeps the square root free of cancellation. Its
+    float value is never low, since the rounded root of the odd square
+    (2k+1)**2 is exact, and at most one too high, for t just below the next
+    row; that case is stepped back.
     """
-    slots = np.asarray(slots, dtype=np.int64)
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(b * b - 8.0 * slots)) / 2.0).astype(np.int64)
-    u -= u * (b - u) // 2 > slots
-    u += (u + 1) * (b - u - 1) // 2 <= slots
-    v = slots - u * (b - u) // 2 + u + 1
-    return u, v
+    t = n * (n - 1) // 2 - 1 - slots
+    k = ((np.sqrt(8.0 * t + 1.0) - 1.0) // 2.0).astype(np.int64)
+    k -= k * (k + 1) // 2 > t
+    return n - 2 - k, n - 1 - (t - k * (k + 1) // 2)
 
 
 def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
@@ -265,8 +266,7 @@ def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
         raise DomainError(f"n and count must be nonnegative, got n={n}, count={count}")
     m = n * (n - 1) // 2
     if m * count == 0 or p == 0.0:
-        hits = np.empty(0, dtype=np.int64)
-        return hits, hits.copy(), hits.copy()
+        return (np.empty(0, dtype=np.int64),) * 3
     graph, slot = np.divmod(_bernoulli_hits(m * count, p, rng), m)
     u, v = _slot_pairs(n, slot)
     return graph, u, v

@@ -184,3 +184,11 @@ def test_bad_pattern_name(capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_scan_below_two_vertices(n, capsys):
+    rc = main(["scan", "--pattern", "k3", "--n", n, "--p", "0.5", "--kmax", "2",
+               "--samples", "10"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"

@@ -136,6 +136,8 @@ def test_batch_endpoints_and_empty_cases():
     assert graph.tolist() == [i for i in range(3) for _ in pairs]
     assert list(zip(u.tolist(), v.tolist())) == pairs * 3
     assert all(len(a) == 0 for a in sample_gnp_batch(6, 0.0, 3, rng))
+    # the first geometric gap saturates at 2**63 - 1 and must not wrap or land in range
+    assert all(len(a) == 0 for a in sample_gnp_batch(5, 1e-300, 1, rng))
     for n in (0, 1, 2):
         assert all(len(a) == 0 for a in sample_gnp_batch(n, 0.5, 0, rng))
     for n in (0, 1):
@@ -157,6 +159,12 @@ def test_slot_pairs_row_major():
     m = n * (n - 1) // 2
     u, v = _slot_pairs(n, np.arange(m - len(want_u), m))
     assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+    # first and last slot of some rows of K_(10^9), where the float root is off by one
+    n = 10**9
+    pairs = [(u, v) for u in (0, 1, 12345, n // 2, n - 3, n - 2) for v in (u + 1, n - 1)]
+    slots = np.array([u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in pairs])
+    u, v = _slot_pairs(n, slots)
+    assert list(zip(u.tolist(), v.tolist())) == pairs
 
 
 def test_thin_edges_endpoints():
