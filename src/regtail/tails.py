@@ -151,10 +151,10 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
     out = np.empty(samples, dtype=np.int64)
     pos = 0
     for w in range(workers):
-        share = base + (1 if w < rem else 0)
+        cnt = base + (1 if w < rem else 0)
         rng = worker_rng(model.seed, w)
-        for start in range(0, share, chunk):
-            size = min(chunk, share - start)
+        for start in range(0, cnt, chunk):
+            size = min(chunk, cnt - start)
             out[pos : pos + size] = _batch_counts(P, n, p, size, rng, budget)
             pos += size
     return out

@@ -151,7 +151,7 @@ def test_slot_pairs_row_major():
     for n in range(61):
         u, v = _slot_pairs(n, np.arange(n * (n - 1) // 2))
         assert list(zip(u.tolist(), v.tolist())) == list(itertools.combinations(range(n), 2))
-    # the last 20 rows of K_100000, where float rounding is closest to an edge
+    # the last 20 rows of K_100000
     n = 100_000
     rows = range(n - 21, n - 1)
     want_u = np.concatenate([np.full(n - 1 - r, r) for r in rows])
