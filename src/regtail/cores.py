@@ -83,8 +83,11 @@ def is_seed(
     """Seed test: conditional expectation >= (1-w)*k and edge count within
     the cap. Returns (verdict, expectation)."""
     expectation = planted_expectation(P, _model(params, g_star), budget)
-    ok = expectation >= (1.0 - params.w) * params.k and g_star.m <= params.edge_cap
-    return ok, expectation
+    return _seed_verdict(expectation, g_star.m, params), expectation
+
+
+def _seed_verdict(expectation, m, params: SeedParams) -> bool:
+    return expectation >= (1.0 - params.w) * params.k and m <= params.edge_cap
 
 
 def is_core(
@@ -160,7 +163,7 @@ def peel_to_core(
     work = SimpleGraph(g_star.n, g_star.edges)
     expectation, deltas = planted_edge_deltas(P, _model(params, work), budget)
     trace = [expectation]
-    seed_input = expectation >= (1.0 - params.w) * params.k and work.m <= params.edge_cap
+    seed_input = _seed_verdict(expectation, work.m, params)
     initial_expectation = expectation
     initial_edges = work.m
     peeled = []

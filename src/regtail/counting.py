@@ -28,6 +28,14 @@ One kernel run per subset T therefore yields the expectation and, if each
 leaf credits the images of T's edges, every deletion drop
 delta(f) = (1-p) * rooted(f) = E[G*] - E[G* - f] at once.
 
+An automorphism s of H carries the maps of s(T) onto those of T, so N_T,
+t_T, |T| and the multiset of credited edge images are constant on each
+Aut(H)-orbit of subsets. Both sums therefore run the kernel once per orbit
+and weight it by the orbit size; rooted sums do the same over the orbits
+of the pairs (pattern arc pinned onto f, T through that arc's edge).
+K3, C4, K4 and K5 have 4, 6, 11 and 34 subset orbits (of 2^e(H)) and 4,
+8, 20 and 120 rooted orbits (of e(H) * 2^e(H) pairs).
+
 Exact probabilities for n <= 7 index every labeled graph by its row-major
 edge bitmask. Each array over the 2^C(n,2) masks comes from one subset
 closure: mark some masks, then for each edge slot let every mask with that
@@ -58,7 +66,7 @@ from .graphs import Pattern, SimpleGraph, complete_graph
 DEFAULT_MAP_BUDGET = 10**9  # partial assignments per enumeration call
 DEFAULT_PLANTED_BUDGET = 10**8  # partial assignments per planted-model call
 MAX_EXACT_N = 7  # exact probability enumerates all 2^C(n,2) graphs
-PLAN_CACHE_SIZE = 1024  # holds every plan of K3, C4 and K4, pinned or not
+PLAN_CACHE_SIZE = 1024  # holds every orbit plan of K3 to K5, pinned or not
 
 
 def _greedy_order(q, edge_list, pinned):
@@ -178,6 +186,46 @@ def count_automorphisms(g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int
     return _count_maps(_plan(g), g, (), [budget])
 
 
+@lru_cache(maxsize=64)
+def _orbit_table(h: SimpleGraph, rooted: bool):
+    """(pins, subset bits, orbit size) for every Aut(h)-orbit of the edge
+    subsets T of h, each represented by its first member.
+
+    Bit i of the subset stands for h.edges[i]. Unrooted, pins is () and
+    the orbits are those of the subsets; rooted, they are the orbits of
+    the pairs (arc, T) with the arc's edge in T, and pins is the arc.
+    """
+    plan = _plan(h)
+    order, edges = plan[0], h.edges
+    slot = {e: i for i, e in enumerate(edges)}
+    autos = []  # per automorphism: vertex images, and edge slot images
+
+    def leaf(images):
+        s = dict(zip(order, images))
+        autos.append((s, [slot[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges]))
+
+    _count_maps(plan, h, (), [DEFAULT_MAP_BUDGET], leaf)
+    every = range(1 << len(edges))
+    if rooted:
+        members = ((arc, bits) for i, (u, v) in enumerate(edges)
+                   for arc in ((u, v), (v, u)) for bits in every if bits >> i & 1)
+    else:
+        members = (((), bits) for bits in every)
+    seen = set()
+    table = []
+    for pins, bits in members:
+        if (pins, bits) in seen:
+            continue
+        orbit = {
+            (tuple(s[x] for x in pins),
+             sum(1 << j for i, j in enumerate(perm) if bits >> i & 1))
+            for s, perm in autos
+        }
+        seen |= orbit
+        table.append((pins, bits, len(orbit)))
+    return tuple(table)
+
+
 def _per_copy(P: Pattern, maps: int) -> int:
     """Copy count from a count of injective maps, each copy hit |Aut| times."""
     if maps % P.aut_count:
@@ -214,10 +262,11 @@ def count_copies_through_edge(
     if not g.has_edge(a, b):
         raise EdgeAbsentError(f"edge {f} not present in graph")
     state = [budget]
+    full = (1 << P.edge_count) - 1
     total = 0
-    for u, v in P.graph.edges:
-        for pins in ((u, v), (v, u)):
-            total += _count_maps(_plan(P.graph, pins=pins), g, (a, b), state)
+    for pins, bits, size in _orbit_table(P.graph, True):
+        if bits == full:
+            total += size * _count_maps(_plan(P.graph, pins=pins), g, (a, b), state)
     return _per_copy(P, total)
 
 
@@ -242,32 +291,30 @@ class PlantedModel:
             )
 
 
-def _planted_sum(P: Pattern, model: PlantedModel, state, root=None, credits=None) -> float:
+def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) -> float:
     """The subset expansion of the module docstring: the sum over edge
-    subsets T of the pattern of w_T * N_T.
+    subsets T of the pattern of w_T * N_T, one kernel run per Aut(H)-orbit
+    of subsets weighted by the orbit size.
 
-    root = (i, pins, f) keeps only the subsets that contain pattern edge i,
-    maps its endpoints `pins` (in that order) onto the planted edge f and
-    lowers the power of (1-p) by one, which sums the copies through f.
-    credits, a dict over the planted edges, receives w_T for every map of
-    T and every edge of T, at the edge's image. All kernel runs draw on
-    the one budget cell `state`.
+    root = f, a planted edge, sums over the rooted orbits instead: the arc
+    pinned onto f lowers the power of (1-p) by one, which sums the copies
+    through f. credits, a dict over the planted edges, receives w_T for
+    every map of T and every edge of T, at the edge's image. All kernel
+    runs draw on the one budget cell `state`.
     """
     p, n, q = model.p, model.n, P.q
     pedges = P.graph.edges
     e_h = len(pedges)
-    must, pins, imgs = root if root is not None else (None, (), ())
+    rooted = bool(root)
     total = 0.0
-    for bits in range(1 << e_h):
-        if must is not None and not bits >> must & 1:
-            continue
+    for pins, bits, size in _orbit_table(P.graph, rooted):
         subset = tuple(pedges[i] for i in range(e_h) if bits >> i & 1)
         plan = _plan(P.graph, subset, pins)
         k, t = len(subset), len(plan[0])
-        weight = p ** (e_h - k) * (1.0 - p) ** (k - (must is not None))
+        weight = size * p ** (e_h - k) * (1.0 - p) ** (k - rooted)
         weight *= math.perm(n - t, q - t)
         if credits is None:
-            total += weight * _count_maps(plan, model.planted, imgs, state)
+            total += weight * _count_maps(plan, model.planted, root, state)
             continue
         tally = {}  # image pair -> maps crediting it; a plain dict is fastest here
 
@@ -276,7 +323,7 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=None, credits=None
                 key = images[i], images[j]
                 tally[key] = tally.get(key, 0) + 1
 
-        total += weight * _count_maps(plan, model.planted, imgs, state, leaf)
+        total += weight * _count_maps(plan, model.planted, root, state, leaf)
         for (a, b), c in tally.items():
             credits[(a, b) if a < b else (b, a)] += weight * c
     return total
@@ -298,7 +345,7 @@ def planted_edge_deltas(
     P: Pattern, model: PlantedModel, budget: int = DEFAULT_PLANTED_BUDGET
 ):
     """Expectation and the deletion drop of every planted edge, from one
-    kernel run per pattern edge subset.
+    kernel run per Aut(H)-orbit of pattern edge subsets.
 
     Returns (expectation, {edge: delta}) with delta(f) = (1 - p) *
     rooted(f) = E[planted] - E[planted minus f]: each map of a subset T
@@ -318,20 +365,15 @@ def edge_rooted_expectation(
     """Expected number of copies containing the planted edge f.
 
     Sum over copies through f of p**(#copy edges missing from the planted
-    graph); f itself must be planted. Pins each orientation of each pattern
-    edge e onto f and sums, over the subsets T containing e, w_T / (1 - p)
-    times the maps of T into the planted graph: f's own factor is 1, so
-    only subsets through e contribute.
+    graph); f itself must be planted. One planted sum over the rooted
+    orbits: each pins a pattern arc onto f and counts the maps of a subset
+    T through the arc's edge, at weight w_T / (1 - p), since f's own factor
+    is 1 and only subsets through that edge contribute.
     """
     a, b = f
     if not model.planted.has_edge(a, b):
         raise EdgeAbsentError(f"edge {f} not present in planted graph")
-    state = [budget]
-    total = 0.0
-    for i, (u, v) in enumerate(P.graph.edges):
-        for pins in ((u, v), (v, u)):
-            total += _planted_sum(P, model, state, root=(i, pins, (a, b)))
-    return total / P.aut_count
+    return _planted_sum(P, model, [budget], root=(a, b)) / P.aut_count
 
 
 def planted_edge_delta(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_MAP_BUDGET, iter_copies
+from .counting import DEFAULT_MAP_BUDGET, _union_find_components, iter_copies
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -67,43 +67,16 @@ def spanned_decompose(
     """Drop edges of g in no pattern copy and split the rest into connected
     components, each reported with the copies it contains."""
     copies = iter_copies(P, g, budget)
-    covered = set()
-    for c in copies:
-        covered |= c
+    covered = set().union(*copies)
     dropped = tuple(e for e in g.edges if e not in covered)
-
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for u, v in covered:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    comp_vertices: dict = {}
-    for v in parent:
-        comp_vertices.setdefault(find(v), set()).add(v)
-    comp_edges: dict = {root: [] for root in comp_vertices}
-    for e in sorted(covered):
-        comp_edges[find(e[0])].append(e)
-    comp_copies: dict = {root: [] for root in comp_vertices}
-    for c in copies:
-        root = find(next(iter(c))[0])
-        comp_copies[root].append(c)
+    vsets = [frozenset(v for e in c for v in e) for c in copies]
+    groups = _union_find_components(copies, vsets)
 
     components = []
-    for root in sorted(comp_vertices, key=lambda r: min(comp_vertices[r])):
-        verts = tuple(sorted(comp_vertices[root]))
-        graph, new_copies = _relabel(verts, comp_edges[root], comp_copies[root])
+    for group in sorted(groups, key=lambda grp: min(min(vsets[i]) for i in grp)):
+        verts = tuple(sorted(set().union(*(vsets[i] for i in group))))
+        edges = sorted(set().union(*(copies[i] for i in group)))
+        graph, new_copies = _relabel(verts, edges, [copies[i] for i in group])
         components.append(
             SpannedComponent(vertices=verts, graph=graph, copies=new_copies)
         )

@@ -315,8 +315,8 @@ def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
     params = cores.SeedParams(**kwargs)
     s = cores.clique_seed_size(P, k)
     seed_graph = complete_graph(s)
-    ok_seed, _ = cores.is_seed(seed_graph, params, P)
     report = cores.peel_to_core(seed_graph, params, P)
+    ok_seed = cores._seed_verdict(report.expectation_trace[0], seed_graph.m, params)
     problems = []
     trace = report.expectation_trace
     for i in range(1, len(trace)):

@@ -22,6 +22,7 @@ from regtail.counting import (
     count_copies,
     count_copies_through_edge,
     count_injective_homs,
+    edge_rooted_expectation,
     edge_rooted_outside_sum,
     exact_probability,
     iter_copies,
@@ -31,7 +32,14 @@ from regtail.counting import (
     tail_probability_table,
 )
 from regtail.errors import BudgetExceededError, DomainError, EdgeAbsentError, TooLargeError
-from regtail.graphs import GnpModel, SimpleGraph, complete_graph, empty_graph, named_pattern
+from regtail.graphs import (
+    GnpModel,
+    SimpleGraph,
+    complete_graph,
+    empty_graph,
+    make_pattern,
+    named_pattern,
+)
 from regtail.verify import sweep_peel
 
 
@@ -196,6 +204,58 @@ def test_planted_edge_deltas_vs_oracle(k3, c4, k4):
             rooted = edge_rooted_oracle(pat.graph.edges, n, p, edges, f)
             assert deltas[f] == pytest.approx((1 - p) * rooted, rel=1e-10)
             assert deltas[f] == pytest.approx(planted_edge_delta(pat, model, f)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("name, unrooted, rooted", [
+    ("k3", 4, 4), ("c4", 6, 8), ("k4", 11, 20), ("k5", 34, 120),
+])
+def test_orbit_table(name, unrooted, rooted):
+    h = named_pattern(name).graph
+    e_h = h.m
+    table = counting._orbit_table(h, False)
+    assert len(table) == unrooted
+    assert all(pins == () for pins, _, _ in table)
+    assert sum(size for _, _, size in table) == 1 << e_h
+    table = counting._orbit_table(h, True)
+    assert len(table) == rooted
+    assert sum(size for _, _, size in table) == e_h << e_h
+    for (u, v), bits, _ in table:
+        i = h.edges.index((min(u, v), max(u, v)))
+        assert bits >> i & 1
+
+
+# two triangles joined by a perfect matching: 3-regular, 12 automorphisms,
+# and its triangle and matching edges lie in different edge orbits
+_PRISM = make_pattern(SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                      (0, 3), (1, 4), (2, 5)]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prism_vs_oracles(seed):
+    """The orbit-weighted planted sums and the pinned copy count on a
+    pattern that is regular but not edge-transitive, against the oracles,
+    on a random planted graph around a planted prism copy."""
+    rng = np.random.default_rng(seed)
+    pat = _PRISM
+    n = 7 + seed % 2
+    labels = rng.permutation(n).tolist()
+    planted = {tuple(sorted((labels[u], labels[v]))) for u, v in pat.graph.edges}
+    planted |= {e for e in combinations(range(n), 2) if rng.random() < 0.3}
+    edges = sorted(planted)
+    g = SimpleGraph(n, edges)
+    p = float(rng.uniform(0.1, 0.9))
+    model = PlantedModel(n + 1, p, g)
+    expectation, deltas = planted_edge_deltas(pat, model)
+    want = planted_expectation_oracle(pat.graph.edges, n + 1, p, edges)
+    assert expectation == pytest.approx(want, rel=1e-10)
+    for f in edges[seed::5]:
+        rooted = edge_rooted_oracle(pat.graph.edges, n + 1, p, edges, f)
+        assert edge_rooted_expectation(pat, model, f) == pytest.approx(rooted, rel=1e-10)
+        assert deltas[f] == pytest.approx((1 - p) * rooted, rel=1e-10)
+        without = [e for e in edges if e != f]
+        through = subset_copy_count(pat.graph.edges, edges) - subset_copy_count(
+            pat.graph.edges, without)
+        assert count_copies_through_edge(pat, g, f) == through
 
 
 def test_plan_cache_is_bounded():

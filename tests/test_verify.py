@@ -1,6 +1,6 @@
 import numpy as np
 
-from regtail import verify
+from regtail import counting, verify
 from regtail.graphs import SimpleGraph, named_pattern
 
 
@@ -15,6 +15,25 @@ def test_sweeps_clean():
     assert verify.sweep_dyadic(trials=500, seed=6) == []
     assert verify.sweep_bk("k3", n_values=(5, 6)) == []
     assert verify.sweep_peel(("k3",), k_values=(2, 5), n=40) == []
+
+
+def test_k5_peel_sweep():
+    assert verify.sweep_peel(("k5",), (2, 10, 20), n=50) == []
+
+
+def test_check_peel_reuses_the_peel_pass(monkeypatch):
+    # the seed verdict comes from the peel's first pass; only the core
+    # re-check on the relabelled survivor runs the engine again
+    calls = []
+    engine = counting._planted_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].planted.m)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_planted_sum", counted)
+    assert verify.check_peel("k4", 50, 18) is None
+    assert calls == [21, 21]
 
 
 def test_replay_each_target():
