@@ -22,7 +22,7 @@ from .counting import (
     planted_expectation,
 )
 from .errors import ContractError, DomainError, IsolatedVertexError
-from .graphs import Pattern, SimpleGraph
+from .graphs import Pattern, SimpleGraph, compact_graph
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,6 @@ def _require(ok: bool, message: str):
         raise ContractError(message)
 
 
-def _compact_support(g: SimpleGraph) -> SimpleGraph:
-    verts = g.support()
-    pos = {v: i for i, v in enumerate(verts)}
-    return SimpleGraph(len(verts), [(pos[u], pos[v]) for u, v in g.edges])
-
-
 @dataclass(frozen=True)
 class CoreReport:
     """Outcome of peeling: the surviving graph (support-compacted), the
@@ -205,7 +199,7 @@ def peel_to_core(
         )
     # the last pass is the core test's: expectation and drops do not
     # depend on the labels, so the compacted survivor needs no new pass
-    compact = _compact_support(work)
+    compact, _ = compact_graph(work.edges)
     ok = _core_verdict(expectation, deltas, compact.m, params)
     degs = [compact.degree(v) for v in range(compact.n)]
     min_prod = min(

@@ -7,9 +7,18 @@ other module's inequality is checked against it.
 
 The injective-map kernel enumerates vertex images in a greedy connected
 order (each new pattern vertex adjacent to an already-placed one when
-possible), with candidates filtered by degree and adjacency. It is the
+possible). Candidate sets are integer bit masks (Ullmann, J. ACM 23 (1976)
+31-42) over frames of the host graph's bit view: a cached frame per
+connected component of up to graphs.MAX_FRAME vertices, and in a larger
+component a ball around each root image, so that no mask grows with a
+large sparse component. A position's candidates are the AND of the
+neighbour masks of the images it is tied to, the frame's mask of vertices
+of large enough degree, and the complement of the images already placed.
+Without a leaf hook the last position is counted by popcount. It is the
 package's one injective-map recursion: an optional leaf hook sees every
 complete map, which is how copies are listed and planted edges credited.
+The order in which maps are found follows the bit order, and no caller
+depends on it.
 
 Conditional expectations over a planted graph G* expand the product of
 per-edge factors p + (1-p)*1[planted] over edge subsets T of the pattern H:
@@ -74,9 +83,11 @@ def _greedy_order(q, edge_list, pinned):
 
     Pinned vertices come first. Works for disconnected edge sets (a fresh
     root is started whenever no unplaced vertex touches the placed set).
-    Returns (order, back, hdeg, epos): back[i] lists the earlier positions
-    adjacent to position i, hdeg[i] its degree in the edge set, and epos
-    the positions of each listed edge's endpoints.
+    Returns (order, back, hdeg, epos, reach): back[i] lists the earlier
+    positions adjacent to position i, hdeg[i] its degree in the edge set,
+    epos the positions of each listed edge's endpoints, and reach[i] the
+    largest distance from position i within its component of the edge set.
+    Each component is placed in one run, its first vertex first.
     """
     nbrs = {v: set() for v in range(q)}
     for u, v in edge_list:
@@ -102,7 +113,15 @@ def _greedy_order(q, edge_list, pinned):
     hdeg = tuple(len(nbrs[v]) for v in order)
     pos = {v: i for i, v in enumerate(order)}
     epos = tuple((pos[u], pos[v]) for u, v in edge_list)
-    return tuple(order), tuple(back), hdeg, epos
+    reach = []
+    for v in order:
+        seen, layer, r = {v}, {v}, -1
+        while layer:
+            layer = set().union(*(nbrs[u] for u in layer)) - seen
+            seen |= layer
+            r += 1
+        reach.append(r)
+    return tuple(order), tuple(back), hdeg, epos, tuple(reach)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -117,63 +136,95 @@ def _plan(pattern_graph: SimpleGraph, edge_subset=None, pins=()):
 def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
     """Number of injective maps that realize the planned edges inside g.
 
-    pins maps plan positions (a prefix) to fixed images. state is a
-    one-element list holding the remaining budget of partial assignments;
-    exhausting it raises BudgetExceededError, and passing one cell to
-    several calls makes them draw on one budget. leaf, if given, is called
-    with the image list (indexed by plan position) of every complete map.
-    """
-    order, back, hdeg, _ = plan
-    npos = len(order)
-    adj = g.adj
-    images = [0] * npos
-    used = set()
-    n_pins = len(pins)
-    for i in range(n_pins):
-        w = pins[i]
-        if w in used:
-            return 0
-        for j in back[i]:
-            if w not in adj.get(images[j], ()):
-                return 0
-        images[i] = w
-        used.add(w)
+    pins maps plan positions (a prefix: the ends of one planned edge) to
+    fixed images. state is a one-element list holding the remaining budget
+    of partial assignments; exhausting it raises BudgetExceededError, and
+    passing one cell to several calls makes them draw on one budget. leaf,
+    if given, is called with the image list (indexed by plan position) of
+    every complete map.
 
-    def rec(i):
-        if i == npos:
-            if leaf is not None:
-                leaf(images)
-            return 1
+    Candidates are bit masks over a frame of g's bit view. Each component of
+    the planned edges is placed inside one frame, taken at its first
+    position from the frames the view offers there, which reach far enough
+    for the rest of the component. At a later position i the candidates are
+    one AND: the frame's vertices of degree at least hdeg[i], the neighbour
+    masks of the images in back[i], and the complement of the used bits.
+    Without a leaf the last position's candidates are counted by popcount,
+    a budget draw of as many assignments.
+    """
+    order, back, hdeg, _, reach = plan
+    npos = len(order)
+    view = g._bit_view()
+    images = [0] * npos
+    nb = [0] * npos  # neighbour mask of each image in its frame
+    frame, used = None, 0
+    if pins:
+        frame = view.frame_at(pins[0], reach[0])
+        if frame is None:  # an isolated pin, while every planned vertex has an edge
+            return 0
+        for i, w in enumerate(pins):
+            b = frame.bit.get(w)
+            if b is None or used >> b & 1 or any(not nb[j] >> b & 1 for j in back[i]):
+                return 0
+            images[i], nb[i] = w, frame.nbr[b]
+            used |= 1 << b
+    if len(pins) == npos:
+        if leaf is not None:
+            leaf(images)
+        return 1
+    last, penult = npos - 1, npos - 2
+    tail = back[last]  # never empty: the last position's component has an edge
+
+    def rec(i, frame, used):
         bk = back[i]
-        need = hdeg[i]
         if bk:
-            anchor = min(bk, key=lambda j: len(adj.get(images[j], ())))
-            cands = adj.get(images[anchor], ())
-        else:
-            cands = adj.keys()
-        total = 0
-        for w in cands:
-            if w in used:
-                continue
-            if len(adj.get(w, ())) < need:
-                continue
-            ok = True
+            mask = frame.at_least[hdeg[i]]
             for j in bk:
-                if w not in adj[images[j]]:
-                    ok = False
-                    break
-            if not ok:
+                mask &= nb[j]
+            frames = ((frame, used, mask),)
+        else:
+            frames = view.roots(hdeg[i], reach[i], images[:i])
+        total = 0
+        for frame, used, mask in frames:
+            mask &= ~used
+            if not mask:
                 continue
-            state[0] -= 1
-            if state[0] < 0:
-                raise BudgetExceededError("injective-map enumeration budget hit")
-            images[i] = w
-            used.add(w)
-            total += rec(i + 1)
-            used.discard(w)
+            if i == last and leaf is None:
+                k = mask.bit_count()
+                state[0] -= k
+                if state[0] < 0:
+                    raise BudgetExceededError("injective-map enumeration budget hit")
+                total += k
+                continue
+            labels, nbr = frame.labels, frame.nbr
+            count_next = i == penult and leaf is None
+            if count_next:  # the last position shares the frame
+                need = frame.at_least[hdeg[last]]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                state[0] -= 1
+                if state[0] < 0:
+                    raise BudgetExceededError("injective-map enumeration budget hit")
+                b = low.bit_length() - 1
+                images[i], nb[i] = labels[b], nbr[b]
+                if i == last:
+                    leaf(images)
+                    total += 1
+                elif count_next:
+                    m = need & ~(used | low)
+                    for j in tail:
+                        m &= nb[j]
+                    k = m.bit_count()
+                    state[0] -= k
+                    if state[0] < 0:
+                        raise BudgetExceededError("injective-map enumeration budget hit")
+                    total += k
+                else:
+                    total += rec(i + 1, frame, used | low)
         return total
 
-    return rec(n_pins)
+    return rec(len(pins), frame, used)
 
 
 def count_injective_homs(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
@@ -324,8 +375,12 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
                 tally[key] = tally.get(key, 0) + 1
 
         total += weight * _count_maps(plan, model.planted, root, state, leaf)
+        per_edge = {}  # both arcs' tallies in one integer, so leaf order cannot round
         for (a, b), c in tally.items():
-            credits[(a, b) if a < b else (b, a)] += weight * c
+            f = (a, b) if a < b else (b, a)
+            per_edge[f] = per_edge.get(f, 0) + c
+        for f, c in per_edge.items():
+            credits[f] += weight * c
     return total
 
 
@@ -555,7 +610,11 @@ class CopiesAtLeast:
 
 @dataclass(frozen=True)
 class DisjointCopies:
-    """Event: there are s pairwise vertex-disjoint copies of the pattern."""
+    """Event: there are s pairwise vertex-disjoint copies of the pattern.
+
+    family_cap bounds the work of both evaluations: the families that
+    mask_array enumerates, and the partial families that holds tries.
+    """
 
     pattern: Pattern
     s: int
@@ -584,15 +643,19 @@ class DisjointCopies:
     def holds(self, g: SimpleGraph) -> bool:
         if self.s <= 0:
             return True
-        copies = [(c, frozenset(v for e in c for v in e)) for c in iter_copies(self.pattern, g)]
+        vsets = [frozenset(v for e in c for v in e) for c in iter_copies(self.pattern, g)]
+        state = [self.family_cap]
 
         def rec(start, chosen_verts, left):
             if left == 0:
                 return True
-            for i in range(start, len(copies)):
-                _, vs = copies[i]
+            for i in range(start, len(vsets)):
+                vs = vsets[i]
                 if vs & chosen_verts:
                     continue
+                state[0] -= 1
+                if state[0] < 0:
+                    raise BudgetExceededError("disjoint-family search budget hit")
                 if rec(i + 1, chosen_verts | vs, left - 1):
                     return True
             return False

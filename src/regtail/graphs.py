@@ -30,16 +30,148 @@ from .errors import (
 )
 
 MAX_PATTERN_VERTICES = 10  # K_q still has q! automorphisms to enumerate
+MAX_FRAME = 4096  # vertices per component frame; a larger component gets ball frames
+
+
+class _DegreeMasks(dict):
+    """d -> mask of a frame's vertices of degree at least d, built on first
+    use; later lookups are plain dict lookups."""
+
+    __slots__ = ("nbr", "deg")
+
+    def __init__(self, nbr, deg):
+        super().__init__()
+        self.nbr, self.deg = nbr, deg
+
+    def __missing__(self, d):
+        deg = self.deg or [m.bit_count() for m in self.nbr]
+        mask = self[d] = sum(1 << b for b, k in enumerate(deg) if k >= d)
+        return mask
+
+
+class _Frame:
+    """Host vertices as bits: bit b stands for labels[b], and nbr[b] is the
+    mask of its neighbours inside the frame. deg[b] is its degree in the
+    whole graph, which the masks of at_least filter on; without deg the
+    frame is a whole component and the masks hold every neighbour."""
+
+    __slots__ = ("labels", "nbr", "at_least", "_bit")
+
+    def __init__(self, labels, nbr, deg=None, bit=None):
+        self.labels, self.nbr, self._bit = labels, nbr, bit
+        self.at_least = _DegreeMasks(nbr, deg)
+
+    @property
+    def bit(self) -> dict:
+        """Label -> bit, for the labels inside the frame."""
+        if self._bit is None:
+            self._bit = dict(zip(self.labels, range(len(self.labels))))
+        return self._bit
+
+    def mask_of(self, labels) -> int:
+        """Mask of those of the labels inside the frame."""
+        bit = self.bit
+        return sum(1 << bit[v] for v in labels if v in bit)
+
+
+class _BitView:
+    """The support of a graph as integer bit masks, for the copy kernel.
+
+    A connected component of at most MAX_FRAME vertices is one cached frame,
+    its labels in sorted order. A mask is as long as its frame, so a
+    component of s vertices costs about s**2 / 16 bytes of masks: fine for
+    small or dense components, quadratic for a large sparse one, whose
+    neighbour masks would each be as long as the component. A larger
+    component therefore gets, for each root image the kernel tries, a fresh
+    frame over the ball around it that can hold the rest of the map.
+    Isolated vertices cost nothing.
+    """
+
+    __slots__ = ("nbrs", "frames", "large", "_home")
+
+    def __init__(self, edges):
+        nbrs = self.nbrs = {}
+        for u, v in edges:
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        seen, groups = set(), []
+        for root in sorted(nbrs):
+            if root in seen:
+                continue
+            seen.add(root)
+            members = [root]
+            for u in members:
+                for w in nbrs[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        members.append(w)
+            members.sort()
+            groups.append(members)
+        bit = {}
+        for ms in groups:
+            if len(ms) <= MAX_FRAME:
+                bit.update(zip(ms, range(len(ms))))
+        mask = dict.fromkeys(bit, 0)
+        for u, v in edges:
+            if u in bit:
+                mask[u] |= 1 << bit[v]
+                mask[v] |= 1 << bit[u]
+        self.frames = [_Frame(ms, [mask[v] for v in ms]) for ms in groups if len(ms) <= MAX_FRAME]
+        self.large = [ms for ms in groups if len(ms) > MAX_FRAME]
+        self._home = None
+
+    def _ball(self, w, radius) -> _Frame:
+        nbrs = self.nbrs
+        seen, layer = {w}, [w]
+        for _ in range(radius):
+            nxt = []
+            for u in layer:
+                for x in nbrs[u]:
+                    if x not in seen:
+                        seen.add(x)
+                        nxt.append(x)
+            layer = nxt
+        labels = sorted(seen)
+        bit = dict(zip(labels, range(len(labels))))
+        nbr = [sum(1 << bit[x] for x in nbrs[v] if x in bit) for v in labels]
+        return _Frame(labels, nbr, [len(nbrs[v]) for v in labels], bit)
+
+    def frame_at(self, w, radius):
+        """A frame holding every vertex within radius of w, or None when w
+        is isolated."""
+        if self._home is None:
+            self._home = {v: frame for frame in self.frames for v in frame.labels}
+        frame = self._home.get(w)
+        if frame is None and w in self.nbrs:
+            frame = self._ball(w, radius)
+        return frame
+
+    def roots(self, d: int, radius: int, placed):
+        """(frame, used, mask) triples whose masks hold each vertex of
+        degree at least d once, each frame holding every vertex within
+        radius of its masked ones: the cached frames with their degree
+        masks, then a ball frame around each such vertex of a large
+        component. used marks the labels of `placed` inside the frame."""
+        for frame in self.frames:
+            mask = frame.at_least[d]
+            if mask:
+                yield frame, frame.mask_of(placed) if placed else 0, mask
+        for ms in self.large:
+            for w in ms:
+                if len(self.nbrs[w]) >= d:
+                    frame = self._ball(w, radius)
+                    yield frame, frame.mask_of(placed), 1 << frame.bit[w]
 
 
 class SimpleGraph:
     """Labeled undirected simple graph on vertices 0..n-1.
 
     Edges are stored as a sorted tuple of (u, v) pairs with u < v; adjacency
-    sets are built lazily so that sparse graphs on many vertices stay cheap.
+    sets and the bit view are built lazily so that sparse graphs on many
+    vertices stay cheap.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_edge_set")
+    __slots__ = ("n", "edges", "_adj", "_edge_set", "_bits")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -58,6 +190,7 @@ class SimpleGraph:
         self.edges = tuple(sorted(seen))
         self._adj = None
         self._edge_set = seen
+        self._bits = None
 
     @property
     def m(self) -> int:
@@ -73,6 +206,12 @@ class SimpleGraph:
                 nbrs.setdefault(v, set()).add(u)
             self._adj = {v: frozenset(s) for v, s in nbrs.items()}
         return self._adj
+
+    def _bit_view(self) -> _BitView:
+        """The cached bit view of the support, for the copy kernel."""
+        if self._bits is None:
+            self._bits = _BitView(self.edges)
+        return self._bits
 
     def neighbors(self, v) -> frozenset:
         return self.adj.get(v, frozenset())
@@ -117,6 +256,14 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={self.m})"
+
+
+def compact_graph(edges):
+    """The graph on the endpoints of `edges`, relabeled 0, 1, ... in sorted
+    label order, with the map from old labels to new. The map keeps the
+    order of labels, so sorted pairs stay sorted."""
+    pos = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    return SimpleGraph(len(pos), [(pos[u], pos[v]) for u, v in edges]), pos
 
 
 def empty_graph(n: int) -> SimpleGraph:

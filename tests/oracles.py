@@ -175,3 +175,35 @@ def exact_probability_oracle(pattern_edges, n, p, kind, arg) -> float:
         if ok:
             total += p**m * (1 - p) ** (m_all - m)
     return total
+
+
+def automorphism_count(edges) -> int:
+    """Number of permutations of the edges' endpoints that map the edge set
+    onto itself."""
+    es = {tuple(sorted(e)) for e in edges}
+    verts = sorted({v for e in es for v in e})
+    count = 0
+    for perm in permutations(verts):
+        mapping = dict(zip(verts, perm))
+        if all(tuple(sorted((mapping[u], mapping[v]))) in es for u, v in es):
+            count += 1
+    return count
+
+
+def copies_in_graph(pattern_edges, n, host_edges):
+    """All copies of the pattern in the graph on 0..n-1 with the given
+    edges, sorted as the package sorts them.
+
+    Each q-vertex subset carries the pattern's copies in K_q, renamed onto
+    the subset in order, and keeps those whose edges are all present.
+    """
+    host = {tuple(sorted(e)) for e in host_edges}
+    q = len({v for e in pattern_edges for v in e})
+    local = copies_in_complete_graph(pattern_edges, q)
+    out = []
+    for subset in combinations(range(n), q):
+        for copy in local:
+            image = frozenset((subset[u], subset[v]) for u, v in copy)
+            if image <= host:
+                out.append(image)
+    return sorted(out, key=sorted)

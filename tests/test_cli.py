@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -177,6 +178,21 @@ def test_runtime_error_json_on_stderr(capsys):
     err = capsys.readouterr().err
     payload = json.loads(err.strip().split("\n")[-1])
     assert "error" in payload and "message" in payload
+
+
+def test_decompose_set_cover_budget(tmp_path, capsys):
+    """C4 on this G(60, 0.15) draw has one spanned component with 756
+    copies whose exact minimum cover the branch and bound cannot finish;
+    the node budget turns it into a JSON error in seconds."""
+    path = tmp_path / "g.edges"
+    assert main(["sample", "--n", "60", "--p", "0.15", "--seed", "7", "--out", str(path)]) == 0
+    start = time.perf_counter()
+    rc = main(["decompose", "--pattern", "c4", "--graph", f"@{path}", "--format", "json"])
+    assert time.perf_counter() - start < 10.0
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "BudgetExceededError"
 
 
 def test_bad_pattern_name(capsys):

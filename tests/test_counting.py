@@ -382,6 +382,18 @@ def test_exact_arrays_match_direct_counts(n, p, seed):
         assert int(copy_count_array(pat, n)[mask]) == count_copies(pat, g)
 
 
+def test_disjoint_holds_budget(k3):
+    """holds draws each partial family it tries from family_cap. In K6
+    two disjoint triangles are found on the second draw; three are not
+    there, and ruling them out tries all 20 triangles and the 10 pairs of
+    complementary ones: 30 draws."""
+    g = complete_graph(6)
+    assert DisjointCopies(k3, 2, family_cap=2).holds(g)
+    assert not DisjointCopies(k3, 3, family_cap=30).holds(g)
+    with pytest.raises(BudgetExceededError):
+        DisjointCopies(k3, 3, family_cap=29).holds(g)
+
+
 def test_exact_probability_monotone_in_p(k3):
     probs = [
         exact_probability(GnpModel(6, p), CopiesAtLeast(k3, 2))

@@ -1,0 +1,119 @@
+"""The injective-map kernel against the brute-force oracles, and the exact
+budget at which each kind of kernel call succeeds. Every test runs twice:
+with the cached frame of each component, and with ball frames, which the
+kernel gets for components above graphs.MAX_FRAME vertices."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from oracles import (
+    automorphism_count,
+    copies_in_graph,
+    edge_rooted_oracle,
+    planted_expectation_oracle,
+)
+from regtail import graphs
+from regtail.counting import (
+    PlantedModel,
+    count_automorphisms,
+    count_copies,
+    count_copies_through_edge,
+    iter_copies,
+    planted_edge_deltas,
+    planted_expectation,
+)
+from regtail.errors import BudgetExceededError
+from regtail.graphs import SimpleGraph, complete_graph, make_pattern, named_pattern
+
+PATTERNS = {name: named_pattern(name) for name in ("k3", "c4", "k4")}
+# two triangles joined by a perfect matching: regular, not edge-transitive
+PATTERNS["prism"] = make_pattern(SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                                 (3, 5), (0, 3), (1, 4), (2, 5)]))
+
+
+@pytest.fixture(autouse=True, params=["component", "ball"])
+def frames(request, monkeypatch):
+    if request.param == "ball":
+        monkeypatch.setattr(graphs, "MAX_FRAME", 0)
+
+
+def _gnp(n, p, seed):
+    """Seeded G(n, p): pair i of the row-major order kept when draw i < p."""
+    pairs = list(combinations(range(n), 2))
+    keep = np.random.default_rng(seed).random(len(pairs)) < p
+    return SimpleGraph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+@pytest.mark.parametrize("n", range(7, 13))
+def test_kernel_matches_oracles(name, n):
+    """Counts, listed copies and copies through an edge (the pinned path)
+    on seeded G(n, p) graphs, sparse enough to leave several components
+    and isolated vertices and dense enough to hold many copies."""
+    P = PATTERNS[name]
+    for p in (0.2, 0.45, 0.7):
+        g = _gnp(n, p, seed=100 * n + int(100 * p))
+        want = copies_in_graph(P.graph.edges, n, g.edges)
+        assert count_copies(P, g) == len(want)
+        assert iter_copies(P, g) == want
+        for f in g.edges[:: max(1, g.m // 5)]:
+            assert count_copies_through_edge(P, g, f) == sum(f in c for c in want)
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_automorphisms_match_oracle(n):
+    """count_automorphisms maps a whole graph into itself: the densest plan
+    the kernel runs, with every position tied to several earlier ones."""
+    for p in (0.3, 0.5, 0.8):
+        g = _gnp(n, p, seed=7 * n + int(10 * p))
+        assert count_automorphisms(g) == automorphism_count(g.edges)
+    for P in PATTERNS.values():
+        assert count_automorphisms(P.graph) == automorphism_count(P.graph.edges)
+
+
+@pytest.mark.parametrize("name", ("c4", "prism"))
+def test_planted_sums_match_oracles(name):
+    """The planted engine's kernel runs: subsets T of the pattern with
+    several components, each started in a fresh frame, and the rooted runs
+    that pin an arc, on planted graphs of several components."""
+    P, n = PATTERNS[name], 8
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        g = _gnp(n - 1, 0.45, int(rng.integers(1 << 30)))
+        p = float(rng.uniform(0.1, 0.9))
+        model = PlantedModel(n, p, g)
+        expectation, deltas = planted_edge_deltas(P, model)
+        want = planted_expectation_oracle(P.graph.edges, n, p, g.edges)
+        assert expectation == pytest.approx(want, rel=1e-10)
+        for f in g.edges[::3]:
+            rooted = edge_rooted_oracle(P.graph.edges, n, p, g.edges, f)
+            assert deltas[f] == pytest.approx((1 - p) * rooted, rel=1e-10)
+
+
+K3, C4, K4 = (PATTERNS[name] for name in ("k3", "c4", "k4"))
+
+# Smallest budget with which each call succeeds: the number of partial
+# assignments the kernel accepts, as measured on the set-filter kernel the
+# bit masks replaced. The order of enumeration may change; these may not.
+BOUNDARY = {
+    "plain_k3_k6": (156, lambda b: count_copies(K3, complete_graph(6), b)),
+    "plain_c4": (192, lambda b: count_copies(C4, _gnp(11, 0.4, 1), b)),
+    "plain_k4": (550, lambda b: count_copies(K4, _gnp(12, 0.6, 2), b)),
+    "automorphisms_k5": (325, lambda b: count_automorphisms(complete_graph(5), b)),
+    "pinned_k4_k6": (16, lambda b: count_copies_through_edge(K4, complete_graph(6), (0, 1), b)),
+    "pinned_c4": (13, lambda b: count_copies_through_edge(C4, _gnp(10, 0.5, 3), (0, 1), b)),
+    "planted_k3": (186, lambda b: planted_expectation(
+        K3, PlantedModel(20, 0.1, _gnp(9, 0.5, 4)), b)),
+    "planted_c4_deltas": (1212, lambda b: planted_edge_deltas(
+        C4, PlantedModel(15, 0.2, _gnp(8, 0.5, 5)), b)),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY)
+def test_budget_boundary(case):
+    budget, run = BOUNDARY[case]
+    run(budget)
+    with pytest.raises(BudgetExceededError):
+        run(budget - 1)
