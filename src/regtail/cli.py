@@ -24,7 +24,7 @@ from .bounds import (
     tail_rate,
 )
 from .cores import SeedParams, clique_seed_size, peel_to_core
-from .errors import RegtailError
+from .errors import DomainError, RegtailError
 from .graphs import (
     GnpModel,
     make_pattern,
@@ -314,37 +314,48 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _or_default(value, default):
+    return default if value is None else value
+
+
 def _run_verify_sweep(args):
+    for name in ("n", "k", "instances", "trials", "samples"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise DomainError(f"--{name} must be positive, got {value}")
     target = args.target
     patterns = (args.pattern,) if args.pattern else verify_mod.DEFAULT_PATTERNS
     if target == "lemma6":
-        return verify_mod.sweep_finner(patterns, args.instances or 1000, args.seed)
+        return verify_mod.sweep_finner(patterns, _or_default(args.instances, 1000), args.seed)
     if target == "lemma7":
+        instances = _or_default(args.instances, 500)
         return verify_mod.sweep_edge_rooted(
-            patterns, args.instances or 500, args.seed
-        ) + verify_mod.sweep_outside_edge(patterns, (args.instances or 500) // 2, args.seed)
+            patterns, instances, args.seed
+        ) + verify_mod.sweep_outside_edge(patterns, instances // 2, args.seed)
     if target == "lemma9":
-        return verify_mod.sweep_spanning_excess(patterns, args.instances or 200, args.seed)
+        return verify_mod.sweep_spanning_excess(
+            patterns, _or_default(args.instances, 200), args.seed
+        )
     if target == "lemma17":
-        return verify_mod.sweep_power_sum(args.trials or 10_000, args.seed)
+        return verify_mod.sweep_power_sum(_or_default(args.trials, 10_000), args.seed)
     if target == "lemma18":
         return verify_mod.sweep_split_cost()
     if target == "chernoff":
         return verify_mod.sweep_chernoff()
     if target == "dyadic":
-        return verify_mod.sweep_dyadic(args.trials or 10_000, args.seed)
+        return verify_mod.sweep_dyadic(_or_default(args.trials, 10_000), args.seed)
     if target == "bk":
-        n_values = (args.n,) if args.n else (6, 7)
+        n_values = (6, 7) if args.n is None else (args.n,)
         p_values = (args.p,) if args.p is not None else None
         return verify_mod.sweep_bk(args.pattern or "k3", n_values, p_values)
     if target == "poisson":
         return verify_mod.sweep_poisson(
-            args.pattern or "k3", args.n or 400, args.samples or 100_000,
+            args.pattern or "k3", _or_default(args.n, 400), _or_default(args.samples, 100_000),
             seeds=(args.seed,), workers=args.workers,
         )
     if target == "peel":
-        ks = (args.k,) if args.k else range(2, 21)
-        return verify_mod.sweep_peel(patterns, ks, args.n or 50)
+        ks = range(2, 21) if args.k is None else (args.k,)
+        return verify_mod.sweep_peel(patterns, ks, _or_default(args.n, 50))
     raise RegtailError(f"unknown verify target {target!r}")
 
 

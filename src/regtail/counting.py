@@ -52,7 +52,10 @@ bit set take in the entry of the mask without it. On bool entries this
 answers "contains a marked mask", on integers "how many marked masks".
 Copy counts mark the copies of the pattern in K_n, edge counts the single
 edges, and the disjoint-copies and spanned-copies events the edge unions of
-their qualifying copy families.
+their qualifying copy families. None of this depends on p: each event keeps
+a cached histogram of its satisfying graphs by edge count, and each pattern
+one by (edge count, copy count), so a probability at a new p is one product
+with the weights p**m (1-p)**(C(n,2)-m).
 """
 
 from __future__ import annotations
@@ -456,7 +459,9 @@ def edge_rooted_outside_sum(
 
 
 # ---------------------------------------------------------------------------
-# Exact probabilities over all labeled graphs (n <= 7).
+# Exact probabilities over all labeled graphs (n <= 7). The arrays over the
+# 2^C(n,2) masks and the histograms binned from them are built once per
+# process and returned read-only; only the weights depend on p.
 # ---------------------------------------------------------------------------
 
 
@@ -702,27 +707,53 @@ def _weights_by_popcount(m_slots: int, p: float) -> np.ndarray:
     return w
 
 
+HIST_CHUNK = 1 << 12  # masks binned at a time: no int64 temporary over all 2^C(n,2)
+
+
+def _binned(n: int, size: int, keys) -> np.ndarray:
+    """Read-only float histogram of size bins over the labeled graphs on n
+    vertices: keys(s) gives the bins of the masks in the slice s, binned
+    HIST_CHUNK masks at a time. Every entry is an exact integer."""
+    hist = np.zeros(size, dtype=np.int64)
+    for start in range(0, 1 << n * (n - 1) // 2, HIST_CHUNK):
+        hist += np.bincount(keys(slice(start, start + HIST_CHUNK)), minlength=size)
+    hist = hist.astype(np.float64)
+    hist.setflags(write=False)
+    return hist
+
+
+@lru_cache(maxsize=64)
+def _event_histogram(event, n: int) -> np.ndarray:
+    """Number of labeled graphs on n vertices satisfying the event at each
+    edge count 0..C(n,2). The event is a frozen dataclass, so it keys the
+    cache; a refused build (BudgetExceededError, TooLargeError) raises and
+    is not cached."""
+    pc, bits = _popcounts(n), event.mask_array(n)
+    return _binned(n, n * (n - 1) // 2 + 1, lambda s: pc[s][bits[s]])
+
+
 def exact_probability(model, pred) -> float:
-    """Exact probability of the event under G(n, p), by summing the weight
-    p**m (1-p)**(C(n,2)-m) over all labeled graphs satisfying the predicate."""
+    """Exact probability of the event under G(n, p): the weight
+    p**m (1-p)**(C(n,2)-m) summed over the satisfying labeled graphs, one
+    dot product of the weights with the event's cached edge-count histogram."""
     n = model.n
-    m_slots = n * (n - 1) // 2
-    bits = pred.mask_array(n)
-    pc = _popcounts(n)
-    cnt = np.bincount(pc[bits], minlength=m_slots + 1)
-    w = _weights_by_popcount(m_slots, model.p)
-    return float(np.dot(cnt.astype(np.float64), w))
+    w = _weights_by_popcount(n * (n - 1) // 2, model.p)
+    return float(np.dot(_event_histogram(pred, n), w))
+
+
+@lru_cache(maxsize=32)
+def _count_histogram(P: Pattern, n: int) -> np.ndarray:
+    """Number of labeled graphs on n vertices with each (edge count, copy
+    count) pair, as a read-only (C(n,2)+1) x (max copies+1) array."""
+    pc, counts = _popcounts(n), copy_count_array(P, n)
+    width = int(counts.max()) + 1
+    hist = _binned(n, (n * (n - 1) // 2 + 1) * width,
+                   lambda s: pc[s].astype(np.int64) * width + counts[s])
+    return hist.reshape(-1, width)
 
 
 def tail_probability_table(P: Pattern, n: int, p: float) -> np.ndarray:
     """P(copy count >= k) for k = 0..max over all labeled graphs; entry [k]."""
-    m_slots = n * (n - 1) // 2
-    counts = copy_count_array(P, n)
-    pc = _popcounts(n)
-    kmax = int(counts.max())
-    hist = np.zeros((m_slots + 1, kmax + 1))
-    np.add.at(hist, (pc, counts), 1.0)
-    w = _weights_by_popcount(m_slots, p)
-    mass_by_count = w @ hist  # probability of exactly j copies, j = 0..kmax
-    tail = np.cumsum(mass_by_count[::-1])[::-1]
-    return tail
+    w = _weights_by_popcount(n * (n - 1) // 2, p)
+    mass_by_count = w @ _count_histogram(P, n)  # probability of exactly j copies
+    return np.cumsum(mass_by_count[::-1])[::-1]

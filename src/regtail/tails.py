@@ -7,11 +7,14 @@ order-independent, so identical (seed, workers) always reproduces identical
 numbers regardless of how the workers are executed.
 
 Monte Carlo copy counts come from one batched engine. A worker's share is
-sampled in chunks of graphs as edge arrays, every graph of a chunk is peeled
-to its delta-core at once in numpy (a delta-regular pattern's copies all lie
-there), and the copy kernel runs only on the graphs whose core is nonempty.
-Near the threshold p = n**(-2/delta) most samples are sparse and copy-free,
-so the cost follows the edges drawn rather than the C(n, 2) vertex pairs.
+sampled in chunks of graphs as edge arrays. For n <= MAX_EXACT_N a graph's
+count is read from the exact copy count array at its edge bitmask, the
+array that fills the scan's exact column. For larger n every graph of a
+chunk is peeled to its delta-core at once in numpy (a delta-regular
+pattern's copies all lie there), and the copy kernel runs only on the
+graphs whose core is nonempty. Near the threshold p = n**(-2/delta) most
+samples are sparse and copy-free, so the cost follows the edges drawn
+rather than the C(n, 2) vertex pairs.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from .counting import (
     DEFAULT_MAP_BUDGET,
     MAX_EXACT_N,
     CopiesAtLeast,
-    exact_probability,
+    copy_count_array,
     count_copies,
+    exact_probability,
     tail_probability_table,
 )
 from .cores import clique_seed_size
@@ -117,11 +121,19 @@ def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarr
 def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int) -> np.ndarray:
     """Copy counts of `count` G(n, p) graphs sampled as one batch.
 
-    Every vertex of a copy of a delta-regular pattern has degree delta in
-    the copy, so every copy lies in the delta-core. The kernel runs only on
-    graphs with a nonempty core, and only on its edges.
+    For n <= MAX_EXACT_N each graph's count is read from the exact copy
+    count array at its row-major edge bitmask: the OR of bit
+    u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
+    (exact in float64 up to 21 bits). Otherwise every vertex of a copy of a
+    delta-regular pattern has degree delta in the copy, so every copy lies
+    in the delta-core: the kernel runs only on graphs with a nonempty core,
+    and only on its edges.
     """
     graph, u, v = sample_gnp_batch(n, p, count, rng)
+    if n <= MAX_EXACT_N:
+        bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
+        masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
+        return copy_count_array(P, n)[masks].astype(np.int64)
     keep = _core_edges(graph * n + u, graph * n + v, count * n, P.delta)
     graph, u, v = graph[keep], u[keep], v[keep]
     out = np.zeros(count, dtype=np.int64)

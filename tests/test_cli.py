@@ -208,3 +208,16 @@ def test_scan_below_two_vertices(n, capsys):
                "--samples", "10"])
     assert rc == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("target,flag", [
+    ("bk", "--n"), ("peel", "--k"), ("lemma6", "--instances"),
+    ("lemma17", "--trials"), ("poisson", "--samples"),
+])
+def test_verify_nonpositive_size_is_domain_error(target, flag, value, capsys):
+    # an explicit 0 is not the default: verify bk --n 0 used to run n = 6, 7
+    assert main(["verify", target, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "DomainError"

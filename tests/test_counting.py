@@ -12,6 +12,7 @@ from oracles import (
     subset_copy_count,
 )
 from regtail import counting
+from regtail.cli import main as cli_main
 from regtail.counting import (
     CopiesAtLeast,
     DisjointCopies,
@@ -380,6 +381,57 @@ def test_exact_arrays_match_direct_counts(n, p, seed):
         assert bool(_event_array(event, n)[mask]) == event.holds(g), event
     for pat in (_K3, _C4, _K4):
         assert int(copy_count_array(pat, n)[mask]) == count_copies(pat, g)
+
+
+def _clear_exact_caches():
+    for cached in (counting._popcounts, counting.copy_count_array,
+                   counting._event_histogram, counting._count_histogram):
+        cached.cache_clear()
+
+
+def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
+    """verify bk builds each DisjointCopies array once per n, not once per p,
+    and a tail table at a new p reruns no closure."""
+    dtypes = []
+    closure = counting._subset_closure
+
+    def counted(n, marked, dtype):
+        dtypes.append(dtype)
+        return closure(n, marked, dtype)
+
+    monkeypatch.setattr(counting, "_subset_closure", counted)
+    _clear_exact_caches()
+    assert cli_main(["verify", "bk", "--n", "7"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert dtypes == [np.uint8, bool, bool]  # edge counts, one array per event
+    tail_probability_table(k3, 7, 0.2)
+    assert len(dtypes) == 4  # the copy counts
+    tail_probability_table(k3, 7, 0.3)
+    assert len(dtypes) == 4
+    for p in (0.15, 0.3, 0.6):
+        for kind, arg, pred in (("at_least", 2, CopiesAtLeast(k3, 2)),
+                                ("disjoint", 1, DisjointCopies(k3, 1))):
+            want = exact_probability_oracle(k3.graph.edges, 5, p, kind, arg)
+            assert exact_probability(GnpModel(5, p), pred) == pytest.approx(want, rel=1e-9)
+
+
+def test_exact_histograms_read_only(k3):
+    event = DisjointCopies(k3, 2)
+    for hist in (counting._event_histogram(event, 6), counting._count_histogram(k3, 6)):
+        with pytest.raises(ValueError):
+            hist[0] = 1.0
+    first = exact_probability(GnpModel(6, 0.2), event), tail_probability_table(k3, 6, 0.2)
+    _clear_exact_caches()
+    again = exact_probability(GnpModel(6, 0.2), event), tail_probability_table(k3, 6, 0.2)
+    assert first[0] == again[0]
+    assert first[1].tobytes() == again[1].tobytes()
+
+
+def test_exact_budget_refusal_not_cached(k3):
+    event = DisjointCopies(k3, 2, family_cap=5)  # K6 holds 10 families
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            exact_probability(GnpModel(6, 0.2), event)
 
 
 def test_disjoint_holds_budget(k3):

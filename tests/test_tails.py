@@ -75,11 +75,12 @@ def test_mc_tail_deterministic(k3):
 
 
 @pytest.mark.parametrize("name", ["k3", "c4", "k4"])
-@pytest.mark.parametrize("n", [7, 30, 400])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 30, 400])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mc_counts_match_unpruned_kernel(name, n, seed):
-    # the delta-core prune drops no copy: the engine's counts equal the
-    # kernel's on the full graphs rebuilt from the same sampled edges
+    # neither the lookup in the exact copy count array (n <= 7) nor the
+    # delta-core prune drops a copy: the engine's counts equal the kernel's
+    # on the full graphs rebuilt from the same sampled edges
     P = named_pattern(name)
     p = 1.5 * threshold_probability(n, P.delta)  # every case then sees copies
     counts = _mc_counts(P, GnpModel(n, p, seed), 80, workers=2)
@@ -95,6 +96,19 @@ def test_mc_counts_match_unpruned_kernel(name, n, seed):
                 want.append(count_copies(P, g))
     assert counts.tolist() == want
     assert sum(want) > 0
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_mc_counts_at_p_zero_and_one(name, n):
+    P = named_pattern(name)
+    assert not _mc_counts(P, GnpModel(n, 0.0, 3), 50, workers=2).any()
+    full = math.comb(n, P.q) * P.copies_per_set
+    assert _mc_counts(P, GnpModel(n, 1.0, 3), 50, workers=2).tolist() == [full] * 50
+
+
+def test_mc_counts_below_pattern_size(k4):
+    assert not _mc_counts(k4, GnpModel(3, 0.9, 0), 200).any()
 
 
 def test_expected_copy_count(k3):
