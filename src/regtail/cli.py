@@ -27,6 +27,7 @@ from .cores import SeedParams, clique_seed_size, peel_to_core
 from .errors import DomainError, RegtailError
 from .graphs import (
     GnpModel,
+    SimpleGraph,
     make_pattern,
     named_pattern,
     read_edge_list,

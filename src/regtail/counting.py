@@ -51,11 +51,12 @@ closure: mark some masks, then for each edge slot let every mask with that
 bit set take in the entry of the mask without it. On bool entries this
 answers "contains a marked mask", on integers "how many marked masks".
 Copy counts mark the copies of the pattern in K_n, edge counts the single
-edges, and the disjoint-copies and spanned-copies events the edge unions of
-their qualifying copy families. None of this depends on p: each event keeps
-a cached histogram of its satisfying graphs by edge count, and each pattern
-one by (edge count, copy count), so a probability at a new p is one product
-with the weights p**m (1-p)**(C(n,2)-m).
+edges, the disjoint-copies event the edge unions of its copy families, and
+the spanned-copies event the connected copy unions with enough copies that
+a breadth-first search over distinct union masks reaches. None of this
+depends on p: each event keeps a cached histogram of its satisfying graphs
+by edge count, and each pattern one by (edge count, copy count), so a
+probability at a new p is one product with the weights p**m (1-p)**(C(n,2)-m).
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ DEFAULT_MAP_BUDGET = 10**9  # partial assignments per enumeration call
 DEFAULT_PLANTED_BUDGET = 10**8  # partial assignments per planted-model call
 MAX_EXACT_N = 7  # exact probability enumerates all 2^C(n,2) graphs
 PLAN_CACHE_SIZE = 1024  # holds every orbit plan of K3 to K5, pinned or not
+SPAN_CHUNK = 1 << 16  # (union, copy) pairs the spanned search grows at a time
+_LOW_SLOTS = 4  # closure slots folded column by column: rows of 2^b are too short for one call
 
 
 def _greedy_order(q, edge_list, pinned):
@@ -517,7 +520,8 @@ def _subset_closure(n: int, marked, dtype) -> np.ndarray:
     fold = np.bitwise_or if arr.dtype == bool else np.add
     for b in range(m_slots):
         v = arr.reshape(-1, 2, 1 << b)
-        fold(v[:, 1], v[:, 0], out=v[:, 1])
+        for j in range(1 << b) if b < _LOW_SLOTS else (slice(None),):
+            fold(v[:, 1, j], v[:, 0, j], out=v[:, 1, j])
     arr.setflags(write=False)
     return arr
 
@@ -570,33 +574,37 @@ def _capped(items, cap, what):
         yield item
 
 
-def _connected_copy_unions(P: Pattern, n: int, size: int):
-    """Edge-mask union of every size-element set of the pattern's copies in
-    the complete graph on n vertices whose overlap graph (copies sharing a
-    vertex) restricted to the set is connected, one per set, lazily."""
+def _spanned_unions(P: Pattern, n: int, count: int) -> np.ndarray:
+    """Edge masks of connected copy unions with at least `count` copies,
+    whose up-closure is the spanned-copies event on n vertices.
+
+    Breadth-first from the copies in K_n: a union U with fewer copies grows
+    by every copy whose vertex star (the pairs at its vertices) meets U.
+    U's copies then lie in one overlap component, and growing through any
+    component of G reaches a union inside G with `count` copies. A visited
+    array over the 2^C(n,2) masks holds the level at which each union was
+    first reached, so each union grows once and a level reads back sorted.
+    """
+    counts = copy_count_array(P, n)
     copies = _kn_copies(P, n)
-    k = len(copies)
-    nbrs = [set() for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if copies[i][1] & copies[j][1]:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-
-    def grow(sub, union, frontier, forbidden, root):
-        if len(sub) == size:
-            yield union
-            return
-        cand = sorted(frontier)
-        for idx, w in enumerate(cand):
-            # branches that skip cand[:idx] forbid them for good, so each
-            # subset is produced exactly once
-            forb = forbidden | set(cand[:idx])
-            front = (frontier | {u for u in nbrs[w] if u > root}) - sub - forb - {w}
-            yield from grow(sub | {w}, union | copies[w][0], front, forb, root)
-
-    for root in range(k):
-        yield from grow({root}, copies[root][0], {u for u in nbrs[root] if u > root}, set(), root)
+    masks = np.array([m for m, _ in copies], dtype=np.int64)
+    stars = np.array([sum(1 << b for e, b in _edge_slots(n).items() if vs.intersection(e))
+                      for _, vs in copies], dtype=np.int64)
+    depth = np.zeros(counts.size, dtype=np.uint8)  # 0 marks a union not yet reached
+    depth[masks] = 1
+    rows = SPAN_CHUNK // max(1, len(copies))  # >= 1: K_7 holds at most 7! copies
+    level, found, d = masks, [masks[:0]], 1  # found stays one empty array if K_n has no copy
+    while level.size:
+        done = counts[level] >= count
+        found.append(level[done])
+        level = level[~done]
+        for start in range(0, level.size, rows):
+            u = level[start:start + rows, None]
+            grown = (u | masks)[(u & stars) != 0]
+            depth[grown[depth[grown] == 0]] = d + 1
+        d += 1
+        level = np.flatnonzero(depth == d)
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -675,13 +683,11 @@ class HasSpannedWithCopies:
 
     pattern: Pattern
     count: int
-    subset_cap: int = 500_000
 
     def mask_array(self, n: int) -> np.ndarray:
         if self.count <= 0:
             return _subset_closure(n, (0,), bool)
-        unions = _connected_copy_unions(self.pattern, n, self.count)
-        return _subset_closure(n, _capped(unions, self.subset_cap, "connected copy-subset"), bool)
+        return _subset_closure(n, _spanned_unions(self.pattern, n, self.count), bool)
 
     def holds(self, g: SimpleGraph) -> bool:
         if self.count <= 0:

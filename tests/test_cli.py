@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import time
+import typing
 
 import pytest
 
@@ -221,3 +223,12 @@ def test_verify_nonpositive_size_is_domain_error(target, flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.strip())["error"] == "DomainError"
+
+
+def test_cli_type_hints_resolve():
+    """Every annotation in regtail.cli names something the module imports."""
+    functions = [f for _, f in inspect.getmembers(cli, inspect.isfunction)
+                 if f.__module__ == cli.__name__]
+    assert functions
+    for f in functions:
+        typing.get_type_hints(f)

@@ -9,6 +9,7 @@ from oracles import (
     edge_rooted_oracle,
     exact_probability_oracle,
     planted_expectation_oracle,
+    subset_closure_oracle,
     subset_copy_count,
 )
 from regtail import counting
@@ -358,6 +359,7 @@ _EVENTS = (
     HasSpannedWithCopies(_K3, 3),
     HasSpannedWithCopies(_C4, 3),
     HasSpannedWithCopies(_K3, 4),
+    HasSpannedWithCopies(_C4, 4),
 )
 
 
@@ -381,6 +383,34 @@ def test_exact_arrays_match_direct_counts(n, p, seed):
         assert bool(_event_array(event, n)[mask]) == event.holds(g), event
     for pat in (_K3, _C4, _K4):
         assert int(copy_count_array(pat, n)[mask]) == count_copies(pat, g)
+
+
+@pytest.mark.parametrize("pat", (_K3, _C4), ids=("k3", "c4"))
+def test_spanned_arrays_exhaustive_n5(pat):
+    """Every one of the 1,024 graphs on 5 vertices, for every count from 0
+    to 5 and one above the copies of K5: the array entry is holds()."""
+    pairs = list(combinations(range(5), 2))
+    hosts = [SimpleGraph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
+             for mask in range(1 << len(pairs))]
+    above = len(iter_copies(pat, complete_graph(5))) + 1
+    for count in (*range(6), above):
+        event = HasSpannedWithCopies(pat, count)
+        assert event.mask_array(5).tolist() == [event.holds(g) for g in hosts], count
+
+
+@pytest.mark.parametrize("dtype", (bool, np.uint8, np.uint16))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_subset_closure_matches_one_view_fold(n, dtype):
+    """The closure's per-column fold of the low edge slots gives the one-view
+    fold's array bit for bit, on no marks, the full mask and seeded sets."""
+    full = (1 << n * (n - 1) // 2) - 1
+    rng = np.random.default_rng(n)
+    for marked in ([], [full], [0], rng.integers(0, full + 1, 5), rng.integers(0, full + 1, 300)):
+        marked = [int(m) for m in marked]
+        got = counting._subset_closure(n, marked, dtype)
+        want = subset_closure_oracle(n, marked, dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def _clear_exact_caches():
@@ -413,6 +443,24 @@ def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
                                 ("disjoint", 1, DisjointCopies(k3, 1))):
             want = exact_probability_oracle(k3.graph.edges, 5, p, kind, arg)
             assert exact_probability(GnpModel(5, p), pred) == pytest.approx(want, rel=1e-9)
+
+
+def test_spanned_array_runs_two_closures(monkeypatch, c4):
+    """A cold spanned-copies array runs the pattern's copy-count closure,
+    then one bool closure over the unions its search marks."""
+    dtypes = []
+    closure = counting._subset_closure
+
+    def counted(n, marked, dtype):
+        dtypes.append(dtype)
+        return closure(n, marked, dtype)
+
+    monkeypatch.setattr(counting, "_subset_closure", counted)
+    _clear_exact_caches()
+    HasSpannedWithCopies(c4, 3).mask_array(6)
+    assert dtypes == [np.uint16, bool]
+    with pytest.raises(TooLargeError):
+        HasSpannedWithCopies(c4, 3).mask_array(8)
 
 
 def test_exact_histograms_read_only(k3):
