@@ -285,7 +285,7 @@ def _cmd_tail(args) -> int:
 def _cmd_scan(args) -> int:
     pattern = _load_pattern(args.pattern)
     if args.kmin < 1 or args.kmax < args.kmin:
-        raise RegtailError(f"bad k range [{args.kmin}, {args.kmax}]")
+        raise DomainError(f"bad k range [{args.kmin}, {args.kmax}]")
     res = scan_phase_transition(
         pattern, args.n, range(args.kmin, args.kmax + 1), args.samples,
         p=args.p, seed=args.seed, workers=args.workers,

@@ -509,14 +509,17 @@ def _subset_closure(n: int, marked, dtype) -> np.ndarray:
 
     Marks the masks in a zero array of 2^C(n,2) entries, then folds each
     edge slot b in turn: every mask with bit b set takes in the entry of the
-    same mask without it. The size check comes before `marked` is consumed,
-    so a lazy iterable costs nothing on a refused n.
+    same mask without it. An ndarray of marks is used as it is; any other
+    iterable is consumed only after the size check, so a lazy one costs
+    nothing on a refused n.
     """
     if n > MAX_EXACT_N:
         raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     m_slots = n * (n - 1) // 2
     arr = np.zeros(1 << m_slots, dtype=dtype)
-    arr[np.fromiter(marked, dtype=np.int64)] = 1
+    if not isinstance(marked, np.ndarray):
+        marked = np.fromiter(marked, dtype=np.int64)
+    arr[marked] = 1
     fold = np.bitwise_or if arr.dtype == bool else np.add
     for b in range(m_slots):
         v = arr.reshape(-1, 2, 1 << b)

@@ -11,10 +11,13 @@ sampled in chunks of graphs as edge arrays. For n <= MAX_EXACT_N a graph's
 count is read from the exact copy count array at its edge bitmask, the
 array that fills the scan's exact column. For larger n every graph of a
 chunk is peeled to its delta-core at once in numpy (a delta-regular
-pattern's copies all lie there), and the copy kernel runs only on the
-graphs whose core is nonempty. Near the threshold p = n**(-2/delta) most
-samples are sparse and copy-free, so the cost follows the edges drawn
-rather than the C(n, 2) vertex pairs.
+pattern's copies all lie there), and the core's connected components are
+labeled by hook and shortcut. A component that is a single cycle holds one
+copy if the pattern is that cycle and none otherwise; the copy kernel runs
+only on the complex components (more edges than vertices). Near the
+threshold p = n**(-2/delta) most samples are sparse, and most nonempty
+cores are disjoint cycles, so the cost follows the edges drawn rather than
+the C(n, 2) vertex pairs.
 """
 
 from __future__ import annotations
@@ -102,10 +105,14 @@ def _chunk_graphs(n: int, p: float) -> int:
     return max(1, MC_CHUNK_ENTRIES // max(n, math.ceil(n * (n - 1) // 2 * p), 1))
 
 
-def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarray:
-    """Indices of the edges (a[i], b[i]) on vertices 0..size-1 that lie in
-    the delta-core: edges at a vertex of degree below delta are dropped, and
-    survivors relabeled onto their live vertices, until none is dropped."""
+def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int):
+    """The edges (a[i], b[i]) on vertices 0..size-1 that lie in the
+    delta-core: edges at a vertex of degree below delta are dropped, and
+    survivors relabeled onto their live vertices, until none is dropped.
+
+    Returns the kept edges' indices, their endpoints in the final labels and
+    the number of labels (vertices left without edges keep a label).
+    """
     idx = np.arange(len(a))
     while len(idx):
         alive = np.bincount(np.concatenate((a, b)), minlength=size) >= delta
@@ -115,7 +122,73 @@ def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int) -> np.ndarr
         label = np.cumsum(alive) - 1
         size = int(label[-1]) + 1
         a, b, idx = label[a[keep]], label[b[keep]], idx[keep]
-    return idx
+    return idx, a, b, size
+
+
+def _hook(par: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """One hooking round over edges whose endpoints have roots par[a] and
+    par[b]: the larger root of each edge takes the smaller as its parent
+    (the smallest one offered, over all its edges). Returns the edges that
+    still joined two trees, the only ones a later round needs."""
+    ra, rb = par[a], par[b]
+    cross = ra != rb
+    ra, rb = ra[cross], rb[cross]
+    np.minimum.at(par, ra, rb)
+    np.minimum.at(par, rb, ra)
+    return a[cross], b[cross]
+
+
+def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """Component label of each vertex 0..size-1 under the edges (a[i], b[i]):
+    the smallest vertex of its component.
+
+    Hook and shortcut after Shiloach and Vishkin (J. Algorithms 3 (1982)
+    57-67): hook the roots of every edge's endpoints, then jump pointers
+    (par = par[par]) until every tree is a star, and repeat until no edge
+    joins two trees. Parents only decrease, so no cycle forms; a randomly
+    labeled 10**6-cycle takes 13 hook rounds.
+    """
+    par = np.arange(size)
+    while len(a):
+        a, b = _hook(par, a, b)
+        up = par[par]
+        while not np.array_equal(up, par):
+            par, up = up, up[up]
+    return par
+
+
+def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
+                  u: np.ndarray, v: np.ndarray, budget: int) -> np.ndarray:
+    """Copy counts of `count` graphs on n vertices with edges (u[i], v[i])
+    in graph graph[i], sorted by graph.
+
+    Every vertex of a copy of a delta-regular pattern has degree delta in
+    the copy, so every copy lies in the delta-core, and in one component of
+    it (patterns are connected). A core component with v vertices and e
+    edges is a cycle (e == v), which holds one copy if the pattern is C_v
+    and none otherwise, or complex (e > v). The copy kernel runs once per
+    graph, on its complex components with at least q vertices and e(H)
+    edges, and only on graphs that have one.
+    """
+    keep, a, b, size = _core_edges(graph * n + u, graph * n + v, count * n, P.delta)
+    if not len(keep):
+        return np.zeros(count, dtype=np.int64)
+    graph, u, v = graph[keep], u[keep], v[keep]
+    comp = _components(a, b, size)
+    cv = np.bincount(comp, minlength=size)
+    ec = comp[a]
+    ce = np.bincount(ec, minlength=size)
+    ev, ee = cv[ec], ce[ec]
+    # a q-cycle is one copy of C_q; in a core of degree >= 3 every e > v
+    out = np.bincount(graph[(ee == ev) & (ev == P.q)], minlength=count) // P.q
+    cx = (ee > ev) & (ev >= P.q) & (ee >= P.edge_count)
+    graph, u, v = graph[cx], u[cx], v[cx]
+    cut = np.flatnonzero(np.diff(graph)) + 1
+    for start, gu, gv in zip(np.r_[0, cut], np.split(u, cut), np.split(v, cut)):
+        if len(gu):
+            g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
+            out[graph[start]] += count_copies(P, g, budget)
+    return out
 
 
 def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int) -> np.ndarray:
@@ -124,25 +197,15 @@ def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int) ->
     For n <= MAX_EXACT_N each graph's count is read from the exact copy
     count array at its row-major edge bitmask: the OR of bit
     u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
-    (exact in float64 up to 21 bits). Otherwise every vertex of a copy of a
-    delta-regular pattern has degree delta in the copy, so every copy lies
-    in the delta-core: the kernel runs only on graphs with a nonempty core,
-    and only on its edges.
+    (exact in float64 up to 21 bits). Otherwise the counts come from the
+    components of the graphs' delta-cores (`_chunk_counts`).
     """
     graph, u, v = sample_gnp_batch(n, p, count, rng)
     if n <= MAX_EXACT_N:
         bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
         masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
         return copy_count_array(P, n)[masks].astype(np.int64)
-    keep = _core_edges(graph * n + u, graph * n + v, count * n, P.delta)
-    graph, u, v = graph[keep], u[keep], v[keep]
-    out = np.zeros(count, dtype=np.int64)
-    cut = np.flatnonzero(np.diff(graph)) + 1
-    for start, gu, gv in zip(np.r_[0, cut], np.split(u, cut), np.split(v, cut)):
-        if len(gu):
-            g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
-            out[graph[start]] = count_copies(P, g, budget)
-    return out
+    return _chunk_counts(P, n, count, graph, u, v, budget)
 
 
 def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,

@@ -4,7 +4,8 @@ Nothing here touches the package's counting kernel: copies are found by
 enumerating edge subsets and testing isomorphism with a permutation search,
 and planted expectations are summed copy by copy. Slow and obviously
 correct. The subset-closure oracle keeps the plain one-view fold that the
-package's closure reorganises for speed.
+package's closure reorganises for speed. Component labels come from a
+sequential union-find.
 """
 
 from itertools import combinations, permutations
@@ -224,3 +225,21 @@ def copies_in_graph(pattern_edges, n, host_edges):
             if image <= host:
                 out.append(image)
     return sorted(out, key=sorted)
+
+
+def component_labels_oracle(size, edges):
+    """Smallest vertex of each vertex's component among 0..size-1, by
+    union-find with path halving, one edge at a time."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return [find(x) for x in range(size)]

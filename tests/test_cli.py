@@ -212,6 +212,16 @@ def test_scan_below_two_vertices(n, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("kmin,kmax", [("1", "0"), ("0", "3"), ("4", "2")])
+def test_scan_bad_k_range_is_domain_error(kmin, kmax, capsys):
+    rc = main(["scan", "--pattern", "k3", "--n", "400", "--kmin", kmin, "--kmax", kmax,
+               "--samples", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "DomainError"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("target,flag", [
     ("bk", "--n"), ("peel", "--k"), ("lemma6", "--instances"),

@@ -413,6 +413,26 @@ def test_subset_closure_matches_one_view_fold(n, dtype):
         assert got.tobytes() == want.tobytes()
 
 
+def test_subset_closure_takes_arrays_as_they_are(monkeypatch):
+    """An int64 array of marks is indexed directly, not copied element by
+    element through np.fromiter; a lazy iterable stays unconsumed when n is
+    refused."""
+    marked = np.random.default_rng(0).integers(0, 1 << 15, 200)
+    want = subset_closure_oracle(6, marked, np.uint16)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.fromiter on an ndarray")
+
+    monkeypatch.setattr(np, "fromiter", refused)
+    assert counting._subset_closure(6, marked, np.uint16).tobytes() == want.tobytes()
+    monkeypatch.undo()
+    drawn = []
+    lazy = (drawn.append(b) or b for b in range(3))
+    with pytest.raises(TooLargeError):
+        counting._subset_closure(8, lazy, bool)
+    assert drawn == []
+
+
 def _clear_exact_caches():
     for cached in (counting._popcounts, counting.copy_count_array,
                    counting._event_histogram, counting._count_histogram):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import component_labels_oracle
 
+from regtail import tails
 from regtail.counting import (
+    DEFAULT_MAP_BUDGET,
     CopiesAtLeast,
     count_copies,
     exact_probability,
@@ -13,6 +16,8 @@ from regtail.errors import BlockTooSmallError, DomainError, TooFewVerticesError
 from regtail.graphs import (
     GnpModel,
     SimpleGraph,
+    cycle_graph,
+    make_pattern,
     named_pattern,
     sample_gnp_batch,
     threshold_probability,
@@ -20,7 +25,9 @@ from regtail.graphs import (
 )
 from regtail.tails import (
     CSV_HEADER,
+    _chunk_counts,
     _chunk_graphs,
+    _components,
     _mc_counts,
     clique_lower_bound,
     crossover_k,
@@ -74,15 +81,9 @@ def test_mc_tail_deterministic(k3):
     assert three.sum() > 0
 
 
-@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 30, 400])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_mc_counts_match_unpruned_kernel(name, n, seed):
-    # neither the lookup in the exact copy count array (n <= 7) nor the
-    # delta-core prune drops a copy: the engine's counts equal the kernel's
-    # on the full graphs rebuilt from the same sampled edges
-    P = named_pattern(name)
-    p = 1.5 * threshold_probability(n, P.delta)  # every case then sees copies
+def _replay_unpruned(P, n, p, seed):
+    """_mc_counts of 80 graphs over two workers, and the kernel's counts on
+    the full graphs rebuilt from the same sampled edges."""
     counts = _mc_counts(P, GnpModel(n, p, seed), 80, workers=2)
     want = []
     chunk = _chunk_graphs(n, p)  # K4 at n = 400 takes two chunks per worker
@@ -94,8 +95,151 @@ def test_mc_counts_match_unpruned_kernel(name, n, seed):
                 hit = graph == i
                 g = SimpleGraph(n, zip(u[hit].tolist(), v[hit].tolist()))
                 want.append(count_copies(P, g))
-    assert counts.tolist() == want
+    return counts.tolist(), want
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 30, 400])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mc_counts_match_unpruned_kernel(name, n, seed):
+    # neither the lookup in the exact copy count array (n <= 7) nor the
+    # delta-core prune and its component split drops a copy: the engine's
+    # counts equal the kernel's on the full graphs
+    P = named_pattern(name)
+    p = 1.5 * threshold_probability(n, P.delta)  # every case then sees copies
+    counts, want = _replay_unpruned(P, n, p, seed)
+    assert counts == want
     assert sum(want) > 0
+
+
+@pytest.mark.parametrize("name", ["k3", "c4"])
+def test_mc_counts_match_unpruned_kernel_supercritical(name):
+    # at 3x the threshold the 2-cores hold long cycles next to complex
+    # components, so both the closed-form cycle count and the kernel run
+    P = named_pattern(name)
+    counts, want = _replay_unpruned(P, 400, 3 * threshold_probability(400, 2), 0)
+    assert counts == want
+    assert sum(want) > 0
+
+
+def _cycle(*vs):
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+K4_EDGES = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+THETA = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)]
+# a 4-cycle (closed form) next to a bowtie and a theta (kernel)
+MIXED = _cycle(0, 1, 2, 3) + _cycle(4, 5, 6) + _cycle(6, 7, 8) + [
+    (x + 9, y + 9) for x, y in THETA]
+
+# hand-built graphs on 16 vertices, one chunk in this order
+CHUNK_GRAPHS = {
+    "triangle": _cycle(0, 1, 2),
+    "4-cycle": _cycle(3, 4, 5, 6),
+    "5-cycle": _cycle(0, 2, 4, 6, 8),
+    "bowtie": _cycle(0, 1, 2) + _cycle(2, 3, 4),
+    "theta": THETA,
+    "cycle with chord": _cycle(0, 1, 2, 3, 4) + [(0, 2)],
+    "cycle with pendant tree": _cycle(0, 1, 2, 3) + [(3, 4), (4, 5), (4, 6)],
+    "K4 with pendant path": K4_EDGES + [(3, 4), (4, 5), (5, 6)],
+    "triangle and 4-cycle": _cycle(0, 1, 2) + _cycle(3, 4, 5, 6),
+    "4-cycle, bowtie and theta": MIXED,
+    "empty": [],
+}
+
+# delta -> the edges of the complex delta-core components, per graph that has one
+KERNEL_EDGES = {
+    2: {"bowtie": CHUNK_GRAPHS["bowtie"], "theta": CHUNK_GRAPHS["theta"],
+        "cycle with chord": CHUNK_GRAPHS["cycle with chord"],
+        "K4 with pendant path": K4_EDGES, "4-cycle, bowtie and theta": MIXED[4:]},
+    3: {"K4 with pendant path": K4_EDGES},
+}
+
+
+def _chunk(graphs):
+    """One chunk's (graph, u, v) arrays, sorted by graph, then by (u, v)."""
+    rows = sorted((i, min(e), max(e)) for i, edges in enumerate(graphs) for e in edges)
+    return tuple(np.array([r[j] for r in rows], dtype=np.int64) for j in range(3))
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
+def test_chunk_counts_hand_built(name, monkeypatch):
+    P = named_pattern(name)
+    graphs = list(CHUNK_GRAPHS.values())
+    want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
+    calls = []
+
+    def counting(P, g, budget):
+        calls.append(g.edges)
+        return count_copies(P, g, budget)
+
+    monkeypatch.setattr(tails, "count_copies", counting)
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    assert got.tolist() == want
+    # the kernel runs once per graph with a complex core component, on
+    # those components' edges only, and never on a graph of cycles
+    kernel = KERNEL_EDGES[P.delta]
+    assert calls == [SimpleGraph(16, kernel[g]).edges for g in CHUNK_GRAPHS if g in kernel]
+    if name == "k3":
+        assert want == [1, 0, 0, 2, 0, 1, 0, 4, 1, 2, 0]
+    if name == "c4":
+        assert want == [0, 1, 0, 0, 1, 1, 1, 3, 1, 2, 0]
+
+
+def test_chunk_counts_skip_small_complex_components(monkeypatch):
+    # for C5 a diamond (4 vertices, 5 edges) is complex but too small for a
+    # copy, so the kernel sees only the theta with two 5-cycles
+    P = make_pattern(cycle_graph(5))
+    graphs = [_cycle(0, 1, 2, 3) + [(0, 2)], _cycle(0, 1, 2, 3, 4),
+              [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]]
+    calls = []
+
+    def counting(P, g, budget):
+        calls.append(g.edges)
+        return count_copies(P, g, budget)
+
+    monkeypatch.setattr(tails, "count_copies", counting)
+    got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    assert got.tolist() == [count_copies(P, SimpleGraph(12, g)) for g in graphs] == [0, 1, 2]
+    assert calls == [SimpleGraph(12, graphs[2]).edges]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_union_find(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 300))
+    cases = []
+    m = int(rng.integers(0, 2 * size))  # random edge set, loops and repeats kept
+    cases.append((rng.integers(0, size, m), rng.integers(0, size, m)))
+    child = np.arange(1, size)  # a forest: most vertices hang below a smaller one
+    parent = rng.integers(0, child)
+    forest = rng.random(size - 1) < 0.8
+    relabel = rng.permutation(size)
+    cases.append((relabel[child[forest]], relabel[parent[forest]]))
+    isolated = rng.random(size) < 0.3  # edges only among the other vertices
+    pool = np.flatnonzero(~isolated)
+    if len(pool):
+        cases.append((rng.choice(pool, size), rng.choice(pool, size)))
+    for a, b in cases:
+        got = _components(a.astype(np.int64), b.astype(np.int64), size)
+        assert got.tolist() == component_labels_oracle(size, zip(a.tolist(), b.tolist()))
+
+
+def test_components_rounds_on_long_cycle(monkeypatch):
+    size = 10**5
+    label = np.random.default_rng(0).permutation(size)
+    a, b = label, np.roll(label, 1)
+    rounds = []
+    hook = tails._hook
+
+    def counted(par, a, b):
+        rounds.append(len(a))
+        return hook(par, a, b)
+
+    monkeypatch.setattr(tails, "_hook", counted)
+    assert not _components(a, b, size).any()
+    assert len(rounds) <= 40
 
 
 @pytest.mark.parametrize("name", ["k3", "c4", "k4"])
