@@ -9,6 +9,7 @@ Errors are emitted as a JSON record on stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,12 +40,6 @@ from .counting import count_copies
 from .spanned import spanned_decompose, spanning_excess_report
 from .tails import crossover_k, mc_tail, rows_to_csv, rows_to_json, scan_phase_transition
 
-VERIFY_TARGETS = (
-    "lemma6", "lemma7", "lemma9", "lemma17", "lemma18",
-    "chernoff", "dyadic", "bk", "poisson", "peel",
-)
-
-
 def _load_pattern(spec: str):
     if spec.startswith("@"):
         text = Path(spec[1:]).read_text()
@@ -70,6 +65,7 @@ def _default_p(args, pattern) -> float:
     return threshold_probability(args.n, pattern.delta)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="regtail",
@@ -133,20 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("verify", help="run one invariant sweep")
-    p.add_argument("target", choices=VERIFY_TARGETS)
-    p.add_argument("--pattern", default=None, help="restrict to one pattern")
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="write violation records to this file")
-    p.add_argument("--replay", default=None,
-                   help="JSON file with one violation record to rerun")
+    p = sub.add_parser("verify", help="run one invariant sweep, or replay one record")
+    targets = p.add_subparsers(dest="target", required=True)
+    for target, (flags, _) in verify_mod.SWEEPS.items():
+        t = targets.add_parser(target)
+        for name, (kind, default) in flags.items():
+            t.add_argument(f"--{name}", type=kind, default=None, help=f"default: {default}")
+        add_common(t, "out")
+        t.add_argument("--replay", default=None, help="file with one violation record to rerun")
     return top
 
 
@@ -205,10 +195,7 @@ def _cmd_core(args) -> int:
     pattern = _load_pattern(args.pattern)
     g = _load_graph(args.graph)
     p = _default_p(args, pattern)
-    kwargs = {"n": args.n, "p": p, "k": args.k, "q": pattern.q, "cs": args.cs}
-    if args.w:
-        kwargs["w"] = args.w
-    params = SeedParams(**kwargs)
+    params = SeedParams(n=args.n, p=p, k=args.k, q=pattern.q, cs=args.cs, w=args.w)
     report = peel_to_core(g, params, pattern)
     payload = {
         "verdict": report.verdict,
@@ -315,63 +302,21 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _or_default(value, default):
-    return default if value is None else value
-
-
-def _run_verify_sweep(args):
-    for name in ("n", "k", "instances", "trials", "samples"):
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise DomainError(f"--{name} must be positive, got {value}")
-    target = args.target
-    patterns = (args.pattern,) if args.pattern else verify_mod.DEFAULT_PATTERNS
-    if target == "lemma6":
-        return verify_mod.sweep_finner(patterns, _or_default(args.instances, 1000), args.seed)
-    if target == "lemma7":
-        instances = _or_default(args.instances, 500)
-        return verify_mod.sweep_edge_rooted(
-            patterns, instances, args.seed
-        ) + verify_mod.sweep_outside_edge(patterns, instances // 2, args.seed)
-    if target == "lemma9":
-        return verify_mod.sweep_spanning_excess(
-            patterns, _or_default(args.instances, 200), args.seed
-        )
-    if target == "lemma17":
-        return verify_mod.sweep_power_sum(_or_default(args.trials, 10_000), args.seed)
-    if target == "lemma18":
-        return verify_mod.sweep_split_cost()
-    if target == "chernoff":
-        return verify_mod.sweep_chernoff()
-    if target == "dyadic":
-        return verify_mod.sweep_dyadic(_or_default(args.trials, 10_000), args.seed)
-    if target == "bk":
-        n_values = (6, 7) if args.n is None else (args.n,)
-        p_values = (args.p,) if args.p is not None else None
-        return verify_mod.sweep_bk(args.pattern or "k3", n_values, p_values)
-    if target == "poisson":
-        return verify_mod.sweep_poisson(
-            args.pattern or "k3", _or_default(args.n, 400), _or_default(args.samples, 100_000),
-            seeds=(args.seed,), workers=args.workers,
-        )
-    if target == "peel":
-        ks = range(2, 21) if args.k is None else (args.k,)
-        return verify_mod.sweep_peel(patterns, ks, _or_default(args.n, 50))
-    raise RegtailError(f"unknown verify target {target!r}")
-
-
 def _cmd_verify(args) -> int:
     if args.replay:
-        record = json.loads(Path(args.replay).read_text())
+        try:
+            record = json.loads(Path(args.replay).read_text())
+        except ValueError as exc:  # not UTF-8, not JSON, or more than one record
+            raise DomainError(f"--replay takes one record, one line of --out: {exc}") from None
         result = verify_mod.replay(record)
         sys.stdout.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
         return 0 if result["ok"] else 1
-    violations = _run_verify_sweep(args)
+    violations = verify_mod.run_sweep(args.target, vars(args))
+    text = "".join(json.dumps(v, sort_keys=True) + "\n" for v in violations)
+    if args.out:
+        Path(args.out).write_text(text)  # empty on PASS: no stale records
     if violations:
-        text = "\n".join(json.dumps(v, sort_keys=True) for v in violations)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-        sys.stderr.write(text + "\n")
+        sys.stderr.write(text)
         sys.stdout.write(f"verify {args.target}: FAIL ({len(violations)} violations)\n")
         return 1
     sys.stdout.write(f"verify {args.target}: PASS\n")

@@ -1,13 +1,23 @@
-"""Randomized and grid sweeps over the package invariants.
+"""Sweeps over the package invariants, and the registry that runs and
+replays them.
 
-Each sweep returns a list of violation records (empty means the invariant
-held everywhere). Records are plain JSON-ready dicts carrying everything
-needed to rerun the single failing instance through `replay`.
+A sweep returns the violation records of its `check_*` calls (empty means
+the invariant held everywhere). A record is a JSON-ready dict carrying
+everything needed to rerun that one instance through `replay`.
+
+The registry is two tables. `SWEEPS` maps each `regtail verify` target to
+the flags its sweep reads, with their types and defaults, and to a call of
+the `sweep_*` functions (`run_sweep`); the CLI builds one subparser per
+target from it. `CHECKS` maps each record target to its `check_*` function
+and to a decoder of the check's arguments from a record (`replay`).
+`lemma7_outside` is a record target only: `verify lemma7` runs its sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,10 +42,25 @@ def _pattern_payload(P: Pattern, name=None):
     return {"pattern_edges": [list(e) for e in P.graph.edges], "pattern_n": P.q}
 
 
+def _graph(n, edges) -> SimpleGraph:
+    return SimpleGraph(n, [tuple(e) for e in edges])
+
+
 def pattern_from_payload(rec) -> Pattern:
     if "pattern" in rec:
         return named_pattern(rec["pattern"])
-    return make_pattern(SimpleGraph(rec["pattern_n"], [tuple(e) for e in rec["pattern_edges"]]))
+    return make_pattern(_graph(rec["pattern_n"], rec["pattern_edges"]))
+
+
+def _violations(sweep):
+    """Turn a generator of check results into a sweep that returns the
+    violation records among them as a list."""
+
+    @functools.wraps(sweep)
+    def run(*args, **kwargs):
+        return [rec for rec in sweep(*args, **kwargs) if rec is not None]
+
+    return run
 
 
 def _random_graph(rng, n):
@@ -67,58 +92,50 @@ def check_finner(P: Pattern, g: SimpleGraph, name=None):
     return None
 
 
-def sweep_finner(pattern_names=DEFAULT_PATTERNS, instances=1000, seed=0, n_max=12):
+@_violations
+def sweep_finner(pattern_names, instances, seed, n_max=12):
     """Injective homomorphism count vs the product-measure bound, on random
     graphs up to n_max vertices per pattern."""
     rng = np.random.default_rng(seed)
-    out = []
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
             n = int(rng.integers(P.q, n_max + 1))
             g = _random_graph(rng, n)
-            rec = check_finner(P, g, name)
-            if rec:
-                out.append(rec)
-    return out
+            yield check_finner(P, g, name)
+
+
+def _edge_violation(target, P, planted, n, p, f, name, exact, bound):
+    if exact > bound * (1 + 1e-9):
+        return {
+            "target": target,
+            **_pattern_payload(P, name),
+            "n": n, "p": p, "edge": list(f),
+            "planted_edges": [list(e) for e in planted.edges],
+            "exact": exact, "bound": bound,
+        }
+    return None
+
+
+def _edge_input(P, planted, n, p, f):
+    return bounds.EdgeRootedInput(
+        d_a=planted.degree(f[0]), d_b=planted.degree(f[1]),
+        e=planted.m, n=n, p=p, pattern=P,
+    )
 
 
 def check_edge_rooted(P: Pattern, planted: SimpleGraph, n, p, f, name=None):
     model = counting.PlantedModel(n=n, p=p, planted=planted)
     _, rooted = counting.planted_edge_delta(P, model, f)
-    inp = bounds.EdgeRootedInput(
-        d_a=planted.degree(f[0]), d_b=planted.degree(f[1]),
-        e=planted.m, n=n, p=p, pattern=P,
-    )
-    bound = bounds.edge_rooted_bound(inp)
-    if rooted > bound * (1 + 1e-9):
-        return {
-            "target": "lemma7",
-            **_pattern_payload(P, name),
-            "n": n, "p": p, "edge": list(f),
-            "planted_edges": [list(e) for e in planted.edges],
-            "exact": rooted, "bound": bound,
-        }
-    return None
+    bound = bounds.edge_rooted_bound(_edge_input(P, planted, n, p, f))
+    return _edge_violation("lemma7", P, planted, n, p, f, name, rooted, bound)
 
 
 def check_outside_edge(P: Pattern, planted: SimpleGraph, n, p, f, name=None):
     model = counting.PlantedModel(n=n, p=p, planted=planted)
     outside = counting.edge_rooted_outside_sum(P, model, f)
-    inp = bounds.EdgeRootedInput(
-        d_a=planted.degree(f[0]), d_b=planted.degree(f[1]),
-        e=planted.m, n=n, p=p, pattern=P,
-    )
-    bound = bounds.outside_edge_bounds(inp).max
-    if outside > bound * (1 + 1e-9):
-        return {
-            "target": "lemma7_outside",
-            **_pattern_payload(P, name),
-            "n": n, "p": p, "edge": list(f),
-            "planted_edges": [list(e) for e in planted.edges],
-            "exact": outside, "bound": bound,
-        }
-    return None
+    bound = bounds.outside_edge_bounds(_edge_input(P, planted, n, p, f)).max
+    return _edge_violation("lemma7_outside", P, planted, n, p, f, name, outside, bound)
 
 
 def _random_planted(rng, n):
@@ -128,10 +145,10 @@ def _random_planted(rng, n):
             return g
 
 
-def sweep_edge_rooted(pattern_names=DEFAULT_PATTERNS, instances=500, seed=0, n_max=10):
+@_violations
+def sweep_edge_rooted(pattern_names, instances, seed, n_max=10):
     """Exact edge-rooted planted expectation vs its closed-form bound."""
     rng = np.random.default_rng(seed)
-    out = []
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
@@ -139,17 +156,14 @@ def sweep_edge_rooted(pattern_names=DEFAULT_PATTERNS, instances=500, seed=0, n_m
             planted = _random_planted(rng, n)
             f = planted.edges[int(rng.integers(0, planted.m))]
             p = float(rng.uniform(0.02, 0.9))
-            rec = check_edge_rooted(P, planted, n, p, f, name)
-            if rec:
-                out.append(rec)
-    return out
+            yield check_edge_rooted(P, planted, n, p, f, name)
 
 
-def sweep_outside_edge(pattern_names=DEFAULT_PATTERNS, instances=200, seed=0, n_max=9):
+@_violations
+def sweep_outside_edge(pattern_names, instances, seed, n_max=9):
     """Exact outside-edge expectation vs max(B1, B2, B3), on planted graphs
     where the distinguished edge has an endpoint of degree below delta."""
     rng = np.random.default_rng(seed)
-    out = []
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
@@ -161,10 +175,7 @@ def sweep_outside_edge(pattern_names=DEFAULT_PATTERNS, instances=200, seed=0, n_
             planted = SimpleGraph(n, list(base.edges) + [(b, n - 1)])
             f = (b, n - 1) if b < n - 1 else (n - 1, b)
             p = float(rng.uniform(0.02, 0.9))
-            rec = check_outside_edge(P, planted, n, p, f, name)
-            if rec:
-                out.append(rec)
-    return out
+            yield check_outside_edge(P, planted, n, p, f, name)
 
 
 def check_spanning_excess(P: Pattern, g: SimpleGraph, name=None):
@@ -183,80 +194,88 @@ def check_spanning_excess(P: Pattern, g: SimpleGraph, name=None):
     return None
 
 
-def sweep_spanning_excess(pattern_names=DEFAULT_PATTERNS, instances=200, seed=0, l_max=6):
+@_violations
+def sweep_spanning_excess(pattern_names, instances, seed, l_max=6):
     """Spanning-excess inequality on randomly glued spanned graphs."""
     rng = np.random.default_rng(seed)
-    out = []
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
             l = int(rng.integers(1, l_max + 1))
             pool = P.q * l + P.q
             g = spanned.glue_random_spanned(P, l, rng, pool)
-            rec = check_spanning_excess(P, g, name)
-            if rec:
-                out.append(rec)
-    return out
+            yield check_spanning_excess(P, g, name)
 
 
-def sweep_power_sum(trials=10_000, seed=0):
+def check_power_sum(xs, p):
+    gap = bounds.power_sum_gap(xs, p)
+    if gap < -1e-12:
+        return {"target": "lemma17", "xs": xs, "p": p, "gap": gap}
+    return None
+
+
+@_violations
+def sweep_power_sum(trials, seed):
     """Termwise p-th roots dominate the root of the sum; gap >= -1e-12."""
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(trials):
         size = int(rng.integers(1, 12))
         xs = [float(x) for x in rng.uniform(0.0, 10.0, size=size)]
         p = float(rng.uniform(1.0 + 1e-6, 8.0))
-        gap = bounds.power_sum_gap(xs, p)
-        if gap < -1e-12:
-            out.append({"target": "lemma17", "xs": xs, "p": p, "gap": gap})
-    return out
+        yield check_power_sum(xs, p)
 
 
+def check_split_cost(k, a, q):
+    res = bounds.split_cost_min(k, a, q)
+    if res.value < res.rhs - 1e-9:
+        return {"target": "lemma18", "k": k, "a": a, "q": q,
+                "value": res.value, "rhs": res.rhs}
+    return None
+
+
+@_violations
 def sweep_split_cost(k_max=200, a_values=(0.1, 1.0, 10.0, 100.0), q_values=(3, 4, 5)):
     """Split objective minimum dominates (1/10)*min(k*ln(k), A*k**(2/q))."""
-    out = []
     for q in q_values:
         for a in a_values:
             for k in range(2, k_max + 1):
-                res = bounds.split_cost_min(k, a, q)
-                if res.value < res.rhs - 1e-9:
-                    out.append(
-                        {"target": "lemma18", "k": k, "a": a, "q": q,
-                         "value": res.value, "rhs": res.rhs}
-                    )
-    return out
+                yield check_split_cost(k, a, q)
 
 
+def check_chernoff(n, m, p):
+    exact = bounds.exact_binomial_tail(n, m, p)
+    cher = bounds.chernoff_tail(n, m, p)
+    if exact > cher * (1 + 1e-9):
+        return {"target": "chernoff", "N": n, "M": m, "p": p,
+                "exact": exact, "bound": cher}
+    return None
+
+
+@_violations
 def sweep_chernoff(n_max=200, p_values=(0.01, 0.1, 0.3)):
     """Exact binomial tail never exceeds the Chernoff bound for M >= ceil(Np)."""
-    out = []
     for p in p_values:
         for n in range(1, n_max + 1):
             for m in range(math.ceil(n * p), n + 1):
-                exact = bounds.exact_binomial_tail(n, m, p)
-                cher = bounds.chernoff_tail(n, m, p)
-                if exact > cher * (1 + 1e-9):
-                    out.append(
-                        {"target": "chernoff", "N": n, "M": m, "p": p,
-                         "exact": exact, "bound": cher}
-                    )
-    return out
+                yield check_chernoff(n, m, p)
 
 
-def sweep_dyadic(trials=10_000, seed=0):
+def check_dyadic(ls):
+    ws = spanned.dyadic_profile(ls).weighted_sum
+    total = sum(ls)
+    if not total >= ws >= (total + 1) // 2:
+        return {"target": "dyadic", "l_list": ls, "weighted": ws, "total": total}
+    return None
+
+
+@_violations
+def sweep_dyadic(trials, seed):
     """Dyadic class floors sandwich the exact total within a factor 2."""
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(trials):
         size = int(rng.integers(1, 20))
         ls = [int(x) for x in rng.integers(2, 500, size=size)]
-        prof = spanned.dyadic_profile(ls)
-        total = sum(ls)
-        ws = prof.weighted_sum
-        if not total >= ws >= (total + 1) // 2:
-            out.append({"target": "dyadic", "l_list": ls, "weighted": ws, "total": total})
-    return out
+        yield check_dyadic(ls)
 
 
 def check_bk(pattern_name, n, p):
@@ -270,16 +289,13 @@ def check_bk(pattern_name, n, p):
     return None
 
 
-def sweep_bk(pattern_name="k3", n_values=(6, 7), p_values=None):
+@_violations
+def sweep_bk(pattern_name, n_values, p_values=None):
     """Exact P(two disjoint copies) <= P(one copy)**2 (disjoint occurrence)."""
-    out = []
     for n in n_values:
         ps = p_values if p_values is not None else (0.05, 0.1, 0.2, 1.0 / n)
         for p in ps:
-            rec = check_bk(pattern_name, n, p)
-            if rec:
-                out.append(rec)
-    return out
+            yield check_bk(pattern_name, n, p)
 
 
 def check_poisson(pattern_name, n, p, samples, seed, workers=1, tv_cap=0.05):
@@ -292,16 +308,13 @@ def check_poisson(pattern_name, n, p, samples, seed, workers=1, tv_cap=0.05):
     return None
 
 
-def sweep_poisson(pattern_name="k3", n=400, samples=100_000, seeds=(0, 1, 2), workers=1):
+@_violations
+def sweep_poisson(pattern_name, n, samples, seeds, workers):
     """Total-variation distance to the Poisson law stays below 0.05 at the
     threshold probability, for each seed."""
     p = threshold_probability(n, named_pattern(pattern_name).delta)
-    out = []
     for seed in seeds:
-        rec = check_poisson(pattern_name, n, p, samples, seed, workers)
-        if rec:
-            out.append(rec)
-    return out
+        yield check_poisson(pattern_name, n, p, samples, seed, workers)
 
 
 def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
@@ -309,10 +322,7 @@ def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
     per-step drop below t, total drop within w*k, survivor is a core."""
     P = named_pattern(pattern_name)
     p = threshold_probability(n, P.delta)
-    kwargs = {"n": n, "p": p, "k": k, "q": P.q, "cs": cs}
-    if w:
-        kwargs["w"] = w
-    params = cores.SeedParams(**kwargs)
+    params = cores.SeedParams(n=n, p=p, k=k, q=P.q, cs=cs, w=w)  # w = 0: 1/ln(n)
     s = cores.clique_seed_size(P, k)
     seed_graph = complete_graph(s)
     report = cores.peel_to_core(seed_graph, params, P)
@@ -343,61 +353,102 @@ def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
     return None
 
 
-def sweep_peel(pattern_names=("k3", "c4", "k4"), k_values=range(2, 21), n=50, cs=10.0):
-    out = []
+@_violations
+def sweep_peel(pattern_names, k_values, n, cs=10.0):
     for name in pattern_names:
         for k in k_values:
-            rec = check_peel(name, n, k, cs)
-            if rec:
-                out.append(rec)
-    return out
+            yield check_peel(name, n, k, cs)
+
+
+class Size(int):
+    """Type of a flag that sizes a sweep; `run_sweep` rejects a nonpositive one."""
+
+
+_PATTERNS = (str, DEFAULT_PATTERNS)
+_SEED = (int, 0)
+
+# Target -> ({flag: (type, default)}, call). A flag whose default is a
+# tuple, a range or None stands for a grid: a given value narrows it to one
+# point, and the call gets the 1-tuple.
+SWEEPS = {
+    "lemma6": ({"pattern": _PATTERNS, "instances": (Size, 1000), "seed": _SEED},
+               lambda a: sweep_finner(a.pattern, a.instances, a.seed)),
+    "lemma7": ({"pattern": _PATTERNS, "instances": (Size, 500), "seed": _SEED},
+               lambda a: sweep_edge_rooted(a.pattern, a.instances, a.seed)
+               + sweep_outside_edge(a.pattern, a.instances // 2, a.seed)),
+    "lemma9": ({"pattern": _PATTERNS, "instances": (Size, 200), "seed": _SEED},
+               lambda a: sweep_spanning_excess(a.pattern, a.instances, a.seed)),
+    "lemma17": ({"trials": (Size, 10_000), "seed": _SEED},
+                lambda a: sweep_power_sum(a.trials, a.seed)),
+    "lemma18": ({}, lambda a: sweep_split_cost()),
+    "chernoff": ({}, lambda a: sweep_chernoff()),
+    "dyadic": ({"trials": (Size, 10_000), "seed": _SEED},
+               lambda a: sweep_dyadic(a.trials, a.seed)),
+    "bk": ({"pattern": (str, "k3"), "n": (Size, (6, 7)), "p": (float, None)},
+           lambda a: sweep_bk(a.pattern, a.n, a.p)),
+    "poisson": ({"pattern": (str, "k3"), "n": (Size, 400), "samples": (Size, 100_000),
+                 "seed": _SEED, "workers": (int, 1)},
+                lambda a: sweep_poisson(a.pattern, a.n, a.samples, (a.seed,), a.workers)),
+    "peel": ({"pattern": _PATTERNS, "n": (Size, 50), "k": (Size, range(2, 21))},
+             lambda a: sweep_peel(a.pattern, a.k, a.n)),
+}
+
+
+def run_sweep(target, given) -> list:
+    """Run one target's sweep. `given` maps flag names to the values the
+    user gave, None where a flag was not given."""
+    flags, call = SWEEPS[target]
+    values = {}
+    for name, (kind, default) in flags.items():
+        value = given.get(name)
+        if value is not None and kind is Size:
+            if value < 1:
+                raise DomainError(f"--{name} must be positive, got {value}")
+            value = int(value)  # caches keyed by an int miss a Size
+        if value is None:
+            value = default
+        elif default is None or isinstance(default, (tuple, range)):
+            value = (value,)
+        values[name] = value
+    return call(SimpleNamespace(**values))
+
+
+def _graph_args(r):
+    return pattern_from_payload(r), _graph(r["n"], r["edges"]), r.get("pattern")
+
+
+def _planted_args(r):
+    planted = _graph(r["n"], r["planted_edges"])
+    return pattern_from_payload(r), planted, r["n"], r["p"], tuple(r["edge"]), r.get("pattern")
+
+
+# Record target -> (check, decoder from a record to the check's arguments).
+CHECKS = {
+    "lemma6": (check_finner, _graph_args),
+    "lemma7": (check_edge_rooted, _planted_args),
+    "lemma7_outside": (check_outside_edge, _planted_args),
+    "lemma9": (check_spanning_excess, _graph_args),
+    "lemma17": (check_power_sum, lambda r: (r["xs"], r["p"])),
+    "lemma18": (check_split_cost, lambda r: (r["k"], r["a"], r["q"])),
+    "chernoff": (check_chernoff, lambda r: (r["N"], r["M"], r["p"])),
+    "dyadic": (check_dyadic, lambda r: (r["l_list"],)),
+    "bk": (check_bk, lambda r: (r["pattern"], r["n"], r["p"])),
+    "poisson": (check_poisson, lambda r: (
+        r["pattern"], r["n"], r["p"], r["samples"], r["seed"],
+        r.get("workers", 1), r.get("cap", 0.05))),
+    "peel": (check_peel, lambda r: (
+        r["pattern"], r["n"], r["k"], r.get("cs", 10.0), r.get("w", 0.0))),
+}
 
 
 def replay(record) -> dict:
-    """Rerun one violation record; returns {"ok": bool, "target": ...}."""
-    target = record["target"]
-    if target == "lemma6":
-        P = pattern_from_payload(record)
-        g = SimpleGraph(record["n"], [tuple(e) for e in record["edges"]])
-        rec = check_finner(P, g)
-    elif target == "lemma7":
-        P = pattern_from_payload(record)
-        planted = SimpleGraph(record["n"], [tuple(e) for e in record["planted_edges"]])
-        rec = check_edge_rooted(P, planted, record["n"], record["p"], tuple(record["edge"]))
-    elif target == "lemma7_outside":
-        P = pattern_from_payload(record)
-        planted = SimpleGraph(record["n"], [tuple(e) for e in record["planted_edges"]])
-        rec = check_outside_edge(P, planted, record["n"], record["p"], tuple(record["edge"]))
-    elif target == "lemma9":
-        P = pattern_from_payload(record)
-        g = SimpleGraph(record["n"], [tuple(e) for e in record["edges"]])
-        rec = check_spanning_excess(P, g)
-    elif target == "lemma17":
-        gap = bounds.power_sum_gap(record["xs"], record["p"])
-        rec = None if gap >= -1e-12 else record
-    elif target == "lemma18":
-        res = bounds.split_cost_min(record["k"], record["a"], record["q"])
-        rec = None if res.value >= res.rhs - 1e-9 else record
-    elif target == "chernoff":
-        exact = bounds.exact_binomial_tail(record["N"], record["M"], record["p"])
-        cher = bounds.chernoff_tail(record["N"], record["M"], record["p"])
-        rec = None if exact <= cher * (1 + 1e-9) else record
-    elif target == "dyadic":
-        prof = spanned.dyadic_profile(record["l_list"])
-        total = sum(record["l_list"])
-        rec = None if total >= prof.weighted_sum >= (total + 1) // 2 else record
-    elif target == "bk":
-        rec = check_bk(record["pattern"], record["n"], record["p"])
-    elif target == "poisson":
-        rec = check_poisson(
-            record["pattern"], record["n"], record["p"], record["samples"],
-            record["seed"], record.get("workers", 1), record.get("cap", 0.05),
-        )
-    elif target == "peel":
-        rec = check_peel(
-            record["pattern"], record["n"], record["k"],
-            record.get("cs", 10.0), record.get("w", 0.0),
-        )
-    else:
-        raise DomainError(f"unknown replay target {target!r}")
-    return {"ok": rec is None, "target": target, "violation": rec}
+    """Rerun one violation record; returns {"ok": bool, "target": ...,
+    "violation": the rerun's record or None}. A record that does not
+    decode is a DomainError; errors inside the check are not converted."""
+    try:
+        check, decode = CHECKS[record["target"]]
+        args = decode(record)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"not a replayable record ({type(exc).__name__}: {exc})") from None
+    rec = check(*args)
+    return {"ok": rec is None, "target": record["target"], "violation": rec}

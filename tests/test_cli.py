@@ -3,10 +3,11 @@ import json
 import math
 import time
 import typing
+from types import SimpleNamespace
 
 import pytest
 
-from regtail import cli, cores
+from regtail import bounds, cli, cores, counting, spanned, tails, verify
 from regtail.cli import main
 from regtail.graphs import SimpleGraph, complete_graph, write_edge_list
 
@@ -242,3 +243,173 @@ def test_cli_type_hints_resolve():
     assert functions
     for f in functions:
         typing.get_type_hints(f)
+
+
+DEFAULTS = ("k3", "c4", "k4")
+
+# The bound arguments each sweep got from the per-target dispatch that the
+# registry replaced (`cli._run_verify_sweep`), for every target run with no
+# flags and with each flag it reads. The registry must make the same calls.
+SWEEP_CALLS = [
+    (["lemma6"], [("sweep_finner", {"pattern_names": DEFAULTS, "instances": 1000, "seed": 0})]),
+    (["lemma6", "--pattern", "c4", "--instances", "7", "--seed", "5"],
+     [("sweep_finner", {"pattern_names": ("c4",), "instances": 7, "seed": 5})]),
+    (["lemma7"], [
+        ("sweep_edge_rooted", {"pattern_names": DEFAULTS, "instances": 500, "seed": 0}),
+        ("sweep_outside_edge", {"pattern_names": DEFAULTS, "instances": 250, "seed": 0}),
+    ]),
+    (["lemma7", "--pattern", "k4", "--instances", "9", "--seed", "2"], [
+        ("sweep_edge_rooted", {"pattern_names": ("k4",), "instances": 9, "seed": 2}),
+        ("sweep_outside_edge", {"pattern_names": ("k4",), "instances": 4, "seed": 2}),
+    ]),
+    (["lemma9"],
+     [("sweep_spanning_excess", {"pattern_names": DEFAULTS, "instances": 200, "seed": 0})]),
+    (["lemma9", "--pattern", "k3", "--instances", "3", "--seed", "1"],
+     [("sweep_spanning_excess", {"pattern_names": ("k3",), "instances": 3, "seed": 1})]),
+    (["lemma17"], [("sweep_power_sum", {"trials": 10_000, "seed": 0})]),
+    (["lemma17", "--trials", "11", "--seed", "4"],
+     [("sweep_power_sum", {"trials": 11, "seed": 4})]),
+    (["lemma18"], [("sweep_split_cost", {})]),
+    (["chernoff"], [("sweep_chernoff", {})]),
+    (["dyadic"], [("sweep_dyadic", {"trials": 10_000, "seed": 0})]),
+    (["dyadic", "--trials", "12", "--seed", "6"], [("sweep_dyadic", {"trials": 12, "seed": 6})]),
+    (["bk"], [("sweep_bk", {"pattern_name": "k3", "n_values": (6, 7), "p_values": None})]),
+    (["bk", "--pattern", "c4", "--n", "5", "--p", "0.3"],
+     [("sweep_bk", {"pattern_name": "c4", "n_values": (5,), "p_values": (0.3,)})]),
+    (["poisson"], [("sweep_poisson", {"pattern_name": "k3", "n": 400, "samples": 100_000,
+                                      "seeds": (0,), "workers": 1})]),
+    (["poisson", "--pattern", "k4", "--n", "30", "--samples", "50", "--seed", "8",
+      "--workers", "2"],
+     [("sweep_poisson", {"pattern_name": "k4", "n": 30, "samples": 50, "seeds": (8,),
+                         "workers": 2})]),
+    (["peel"], [("sweep_peel", {"pattern_names": DEFAULTS, "k_values": range(2, 21), "n": 50})]),
+    (["peel", "--pattern", "c4", "--n", "40", "--k", "7"],
+     [("sweep_peel", {"pattern_names": ("c4",), "k_values": (7,), "n": 40})]),
+]
+
+
+def _types(calls):
+    return [(name, {key: [type(x) for x in value] if isinstance(value, tuple) else type(value)
+                    for key, value in args.items()}) for name, args in calls]
+
+
+@pytest.fixture
+def recorded_sweeps(monkeypatch):
+    """Replace every verify sweep by a recorder of its bound arguments."""
+    calls = []
+    for name in [name for name in vars(verify) if name.startswith("sweep_")]:
+        signature = inspect.signature(getattr(verify, name))
+
+        def record(*args, _name=name, _sig=signature, **kwargs):
+            calls.append((_name, dict(_sig.bind(*args, **kwargs).arguments)))
+            return []
+
+        monkeypatch.setattr(verify, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("argv,want", SWEEP_CALLS, ids=[" ".join(a) for a, _ in SWEEP_CALLS])
+def test_verify_flags_reach_the_sweeps_as_before(argv, want, recorded_sweeps, capsys):
+    assert main(["verify"] + argv) == 0
+    assert recorded_sweeps == want
+    # plain ints, as before: an int subclass would miss the int-keyed caches
+    assert _types(recorded_sweeps) == _types(want)
+    assert capsys.readouterr().out == f"verify {argv[0]}: PASS\n"
+
+
+def test_verify_parser_is_built_once_and_keeps_no_values(recorded_sweeps):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["verify", "lemma6", "--pattern", "c4", "--instances", "7", "--seed", "5"]) == 0
+    assert main(["verify", "lemma6"]) == 0
+    assert recorded_sweeps == SWEEP_CALLS[1][1] + SWEEP_CALLS[0][1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma18", "--pattern", "zz"],
+    ["lemma18", "--pattern", "zz", "--instances", "5"],
+    ["chernoff", "--seed", "1"],
+    ["lemma6", "--workers", "2"],
+    ["lemma17", "--pattern", "k3"],
+    ["bk", "--k", "3"],
+])
+def test_verify_flag_the_target_does_not_read_is_usage_error(argv, recorded_sweeps):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + argv)
+    assert exc.value.code == 2
+    assert recorded_sweeps == []
+
+
+def _fails(**fields):
+    return lambda *args, **kwargs: SimpleNamespace(**fields)
+
+
+# Record target -> (the function its check reads, a failing stand-in, a tiny
+# sweep, and the verify target that replays it).
+FAILING_CHECKS = {
+    "lemma6": ((bounds, "finner_hom_bound"), lambda *a: -1.0,
+               lambda: verify.sweep_finner(("k3",), 2, 0), "lemma6"),
+    "lemma7": ((bounds, "edge_rooted_bound"), lambda inp: -1.0,
+               lambda: verify.sweep_edge_rooted(("k3",), 2, 0), "lemma7"),
+    "lemma7_outside": ((bounds, "outside_edge_bounds"), _fails(max=-1.0),
+                       lambda: verify.sweep_outside_edge(("k3",), 2, 0), "lemma7"),
+    "lemma9": ((spanned, "spanning_excess_report"), _fails(f=1.0, l_star=1, lower=0.0),
+               lambda: verify.sweep_spanning_excess(("k3",), 2, 0), "lemma9"),
+    "lemma17": ((bounds, "power_sum_gap"), lambda xs, p: -1.0,
+                lambda: verify.sweep_power_sum(2, 0), "lemma17"),
+    "lemma18": ((bounds, "split_cost_min"), _fails(value=0.0, rhs=1.0),
+                lambda: verify.sweep_split_cost(3, (1.0,), (3,)), "lemma18"),
+    "chernoff": ((bounds, "chernoff_tail"), lambda n, m, p: 0.0,
+                 lambda: verify.sweep_chernoff(3, (0.3,)), "chernoff"),
+    "dyadic": ((spanned, "dyadic_profile"), _fails(weighted_sum=0),
+               lambda: verify.sweep_dyadic(2, 0), "dyadic"),
+    "bk": ((counting, "exact_probability"), lambda model, event: 0.5,
+           lambda: verify.sweep_bk("k3", (5,), (0.1,)), "bk"),
+    "poisson": ((tails, "poisson_diagnostic"), _fails(tv_distance=1.0),
+                lambda: verify.sweep_poisson("k3", 40, 10, (0,), 1), "poisson"),
+    "peel": ((cores, "is_core"), lambda *a: (False, None),
+             lambda: verify.sweep_peel(("k3",), (3,), 40), "peel"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(FAILING_CHECKS))
+def test_failing_record_replays_to_itself(target, monkeypatch, tmp_path, capsys):
+    (module, name), failing, sweep, verify_target = FAILING_CHECKS[target]
+    monkeypatch.setattr(module, name, failing)
+    records = [r for r in sweep() if r["target"] == target]
+    assert records
+    path = tmp_path / "record.json"
+    for record in records:
+        record = json.loads(json.dumps(record))
+        path.write_text(json.dumps(record))
+        assert main(["verify", verify_target, "--replay", str(path)]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result == {"ok": False, "target": target, "violation": record}
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe not utf-8",
+    "not json",
+    "[1, 2]",
+    json.dumps({"target": "chernoff", "N": 20, "p": 0.1}),
+    json.dumps({"target": "lemma17", "xs": [1.0], "p": 2.0, "gap": -1.0}) + "\n"
+    + json.dumps({"target": "lemma17", "xs": [2.0], "p": 3.0, "gap": -1.0}) + "\n",
+], ids=["not-utf8", "not-json", "not-an-object", "missing-field", "two-records"])
+def test_verify_replay_bad_input_is_domain_error(text, tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["verify", "chernoff", "--replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "DomainError"
+
+
+def test_verify_out_is_rewritten_by_a_passing_run(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "violations.jsonl"
+    argv = ["verify", "lemma17", "--trials", "3", "--out", str(out)]
+    monkeypatch.setattr(bounds, "power_sum_gap", lambda xs, p: -1.0)
+    assert main(argv) == 1
+    assert len(out.read_text().splitlines()) == 3
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_text() == ""
+    assert capsys.readouterr().out.endswith("verify lemma17: PASS\n")

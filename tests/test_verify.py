@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from regtail import counting, verify
+from regtail import bounds, counting, verify
+from regtail.errors import DomainError
 from regtail.graphs import SimpleGraph, named_pattern
 
 
@@ -79,3 +81,15 @@ def test_random_graph_generator_is_seeded():
     a = verify._random_graph(np.random.default_rng(9), 8)
     b = verify._random_graph(np.random.default_rng(9), 8)
     assert a == b
+
+
+def test_replay_leaves_errors_inside_the_check_alone(monkeypatch):
+    # only decoding the record is turned into a DomainError
+    def broken(xs, p):
+        raise KeyError("inside the check")
+
+    monkeypatch.setattr(bounds, "power_sum_gap", broken)
+    with pytest.raises(KeyError):
+        verify.replay({"target": "lemma17", "xs": [1.0], "p": 2.0})
+    with pytest.raises(DomainError):
+        verify.replay({"target": "lemma17", "xs": [1.0]})
