@@ -133,8 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     targets = p.add_subparsers(dest="target", required=True)
     for target, (flags, _) in verify_mod.SWEEPS.items():
         t = targets.add_parser(target)
-        for name, (kind, default) in flags.items():
-            t.add_argument(f"--{name}", type=kind, default=None, help=f"default: {default}")
+        for name, spec in flags.items():
+            t.add_argument(f"--{name}", type=spec[0], default=None,
+                           help=verify_mod.flag_help(spec))
         add_common(t, "out")
         t.add_argument("--replay", default=None, help="file with one violation record to rerun")
     return top

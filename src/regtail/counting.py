@@ -50,10 +50,12 @@ edge bitmask. Each array over the 2^C(n,2) masks comes from one subset
 closure: mark some masks, then for each edge slot let every mask with that
 bit set take in the entry of the mask without it. On bool entries this
 answers "contains a marked mask", on integers "how many marked masks".
-Copy counts mark the copies of the pattern in K_n, edge counts the single
-edges, the disjoint-copies event the edge unions of its copy families, and
-the spanned-copies event the connected copy unions with enough copies that
-a breadth-first search over distinct union masks reaches. None of this
+Copy counts mark the copies of the pattern in K_n and edge counts the single
+edges. Both structural events mark the copy unions that one breadth-first
+search over distinct union masks reaches: the disjoint-copies event grows a
+union by the copies that share no vertex with it and marks the unions of s
+copies, the spanned-copies event grows it by the copies that touch it and
+marks the connected unions with enough copies. None of this
 depends on p: each event keeps a cached histogram of its satisfying graphs
 by edge count, and each pattern one by (edge count, copy count), so a
 probability at a new p is one product with the weights p**m (1-p)**(C(n,2)-m).
@@ -502,6 +504,13 @@ def _copy_masks(P: Pattern, n: int):
         yield mask
 
 
+def _exact_slots(n: int) -> int:
+    """C(n,2) for n <= MAX_EXACT_N, checked before any 2^C(n,2) array exists."""
+    if n > MAX_EXACT_N:
+        raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
+    return n * (n - 1) // 2
+
+
 def _subset_closure(n: int, marked, dtype) -> np.ndarray:
     """For every labeled graph on n vertices (n <= 7), indexed by its
     row-major edge bitmask: whether it contains a marked mask (bool dtype),
@@ -513,9 +522,7 @@ def _subset_closure(n: int, marked, dtype) -> np.ndarray:
     iterable is consumed only after the size check, so a lazy one costs
     nothing on a refused n.
     """
-    if n > MAX_EXACT_N:
-        raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
-    m_slots = n * (n - 1) // 2
+    m_slots = _exact_slots(n)
     arr = np.zeros(1 << m_slots, dtype=dtype)
     if not isinstance(marked, np.ndarray):
         marked = np.fromiter(marked, dtype=np.int64)
@@ -543,67 +550,39 @@ def copy_count_array(P: Pattern, n: int) -> np.ndarray:
     return _subset_closure(n, _copy_masks(P, n), np.uint16)
 
 
-def _union_find_components(items, vertex_sets):
-    """Group item indices whose vertex sets overlap, transitively."""
-    parent = list(range(len(items)))
+def _copy_unions(P: Pattern, n: int, count: int, disjoint: bool) -> np.ndarray:
+    """Edge masks whose up-closure is a structural event on n vertices:
+    the unions of `count` vertex-disjoint copies (disjoint), or the connected
+    copy unions with at least `count` copies (spanned).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_vertex: dict = {}
-    for i, vs in enumerate(vertex_sets):
-        for v in vs:
-            j = by_vertex.get(v)
-            if j is None:
-                by_vertex[v] = i
-            else:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict = {}
-    for i in range(len(items)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _capped(items, cap, what):
-    """The items, lazily, raising BudgetExceededError on item cap + 1."""
-    for i, item in enumerate(items):
-        if i == cap:
-            raise BudgetExceededError(f"{what} enumeration cap hit")
-        yield item
-
-
-def _spanned_unions(P: Pattern, n: int, count: int) -> np.ndarray:
-    """Edge masks of connected copy unions with at least `count` copies,
-    whose up-closure is the spanned-copies event on n vertices.
-
-    Breadth-first from the copies in K_n: a union U with fewer copies grows
-    by every copy whose vertex star (the pairs at its vertices) meets U.
-    U's copies then lie in one overlap component, and growing through any
-    component of G reaches a union inside G with `count` copies. A visited
-    array over the 2^C(n,2) masks holds the level at which each union was
-    first reached, so each union grows once and a level reads back sorted.
+    Breadth-first from the copies in K_n: a union U not yet kept grows by
+    every copy whose vertex star (the pairs at its vertices) meets U or, when
+    disjoint, misses U, that is shares no vertex with U. A spanned U's copies
+    lie in one overlap component, and growing through any component of G
+    reaches a union inside G with `count` copies. A visited array over the
+    2^C(n,2) masks holds the level at which each union was first reached
+    (d disjoint copies have d * e(H) edges, so level d), so each union grows
+    once and a level reads back sorted. A count <= 0 marks the empty graph.
     """
-    counts = copy_count_array(P, n)
+    slots = _exact_slots(n)
+    if count <= 0:
+        return np.zeros(1, dtype=np.int64)
+    counts = None if disjoint else copy_count_array(P, n)
     copies = _kn_copies(P, n)
     masks = np.array([m for m, _ in copies], dtype=np.int64)
     stars = np.array([sum(1 << b for e, b in _edge_slots(n).items() if vs.intersection(e))
                       for _, vs in copies], dtype=np.int64)
-    depth = np.zeros(counts.size, dtype=np.uint8)  # 0 marks a union not yet reached
+    depth = np.zeros(1 << slots, dtype=np.uint8)  # 0 marks a union not yet reached
     depth[masks] = 1
     rows = SPAN_CHUNK // max(1, len(copies))  # >= 1: K_7 holds at most 7! copies
     level, found, d = masks, [masks[:0]], 1  # found stays one empty array if K_n has no copy
     while level.size:
-        done = counts[level] >= count
+        done = np.full(level.size, d >= count) if disjoint else counts[level] >= count
         found.append(level[done])
         level = level[~done]
         for start in range(0, level.size, rows):
             u = level[start:start + rows, None]
-            grown = (u | masks)[(u & stars) != 0]
+            grown = (u | masks)[((u & stars) != 0) != disjoint]
             depth[grown[depth[grown] == 0]] = d + 1
         d += 1
         level = np.flatnonzero(depth == d)
@@ -620,63 +599,16 @@ class CopiesAtLeast:
     def mask_array(self, n: int) -> np.ndarray:
         return copy_count_array(self.pattern, n) >= self.k
 
-    def holds(self, g: SimpleGraph) -> bool:
-        return count_copies(self.pattern, g) >= self.k
-
 
 @dataclass(frozen=True)
 class DisjointCopies:
-    """Event: there are s pairwise vertex-disjoint copies of the pattern.
-
-    family_cap bounds the work of both evaluations: the families that
-    mask_array enumerates, and the partial families that holds tries.
-    """
+    """Event: there are s pairwise vertex-disjoint copies of the pattern."""
 
     pattern: Pattern
     s: int
-    family_cap: int = 500_000
-
-    def _families(self, n: int):
-        """Edge-mask union of every family of s pairwise vertex-disjoint
-        copies in the complete graph on n vertices, lazily."""
-        copies = _kn_copies(self.pattern, n)
-
-        def rec(start, union, chosen_verts, left):
-            if left <= 0:
-                yield union
-                return
-            for i in range(start, len(copies)):
-                mask, vs = copies[i]
-                if not vs & chosen_verts:
-                    yield from rec(i + 1, union | mask, chosen_verts | vs, left - 1)
-
-        yield from rec(0, 0, frozenset(), self.s)
 
     def mask_array(self, n: int) -> np.ndarray:
-        unions = _capped(self._families(n), self.family_cap, "disjoint-family")
-        return _subset_closure(n, unions, bool)
-
-    def holds(self, g: SimpleGraph) -> bool:
-        if self.s <= 0:
-            return True
-        vsets = [frozenset(v for e in c for v in e) for c in iter_copies(self.pattern, g)]
-        state = [self.family_cap]
-
-        def rec(start, chosen_verts, left):
-            if left == 0:
-                return True
-            for i in range(start, len(vsets)):
-                vs = vsets[i]
-                if vs & chosen_verts:
-                    continue
-                state[0] -= 1
-                if state[0] < 0:
-                    raise BudgetExceededError("disjoint-family search budget hit")
-                if rec(i + 1, chosen_verts | vs, left - 1):
-                    return True
-            return False
-
-        return rec(0, frozenset(), self.s)
+        return _subset_closure(n, _copy_unions(self.pattern, n, self.s, disjoint=True), bool)
 
 
 @dataclass(frozen=True)
@@ -688,17 +620,7 @@ class HasSpannedWithCopies:
     count: int
 
     def mask_array(self, n: int) -> np.ndarray:
-        if self.count <= 0:
-            return _subset_closure(n, (0,), bool)
-        return _subset_closure(n, _spanned_unions(self.pattern, n, self.count), bool)
-
-    def holds(self, g: SimpleGraph) -> bool:
-        if self.count <= 0:
-            return True
-        copies = iter_copies(self.pattern, g)
-        vsets = [frozenset(v for e in c for v in e) for c in copies]
-        comps = _union_find_components(copies, vsets)
-        return any(len(comp) >= self.count for comp in comps)
+        return _subset_closure(n, _copy_unions(self.pattern, n, self.count, disjoint=False), bool)
 
 
 def _weights_by_popcount(m_slots: int, p: float) -> np.ndarray:
@@ -735,8 +657,7 @@ def _binned(n: int, size: int, keys) -> np.ndarray:
 def _event_histogram(event, n: int) -> np.ndarray:
     """Number of labeled graphs on n vertices satisfying the event at each
     edge count 0..C(n,2). The event is a frozen dataclass, so it keys the
-    cache; a refused build (BudgetExceededError, TooLargeError) raises and
-    is not cached."""
+    cache; a refused build (TooLargeError) raises and is not cached."""
     pc, bits = _popcounts(n), event.mask_array(n)
     return _binned(n, n * (n - 1) // 2 + 1, lambda s: pc[s][bits[s]])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_MAP_BUDGET, _union_find_components, iter_copies
+from .counting import DEFAULT_MAP_BUDGET, iter_copies
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -53,19 +53,42 @@ class SpannedDecomposition:
         return sum(c.copy_count for c in self.components)
 
 
+def _overlap_components(copies):
+    """Components of the copy-overlap graph, whose copies are adjacent when
+    they share a vertex, in order of their smallest index. Each lists its
+    copies breadth-first from the smallest index, taking neighbours in
+    ascending index order, so every prefix has a connected union."""
+    vsets = [{v for e in c for v in e} for c in copies]
+    by_vertex: dict = {}
+    for i, vs in enumerate(vsets):
+        for v in vs:
+            by_vertex.setdefault(v, []).append(i)
+    seen, components = set(), []
+    for start in range(len(copies)):
+        if start not in seen:
+            seen.add(start)
+            order = [start]
+            for i in order:  # the list is the queue: the loop reaches what it appends
+                new = sorted({j for v in vsets[i] for j in by_vertex[v]} - seen)
+                seen.update(new)
+                order += new
+            components.append(order)
+    return components
+
+
 def spanned_decompose(
     P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET
 ) -> SpannedDecomposition:
     """Drop edges of g in no pattern copy and split the rest into connected
-    components, each reported with the copies it contains."""
+    components, each reported with the copies it contains. iter_copies sorts
+    copies by their sorted edge lists, so the components come in order of
+    their smallest vertex."""
     copies = iter_copies(P, g, budget)
     covered = set().union(*copies)
     dropped = tuple(e for e in g.edges if e not in covered)
-    vsets = [frozenset(v for e in c for v in e) for c in copies]
-    groups = _union_find_components(copies, vsets)
 
     components = []
-    for group in sorted(groups, key=lambda grp: min(min(vsets[i]) for i in grp)):
+    for group in map(sorted, _overlap_components(copies)):
         graph, pos = compact_graph(set().union(*(copies[i] for i in group)))
         new_copies = tuple(frozenset((pos[u], pos[v]) for u, v in copies[i]) for i in group)
         components.append(
@@ -196,25 +219,6 @@ def dyadic_profile(l_list) -> DyadicProfile:
     return DyadicProfile(c=c, t=t)
 
 
-def _overlap_bfs_order(copies):
-    """Copies ordered so every prefix has a connected union (breadth-first
-    over the copy-overlap graph from the first copy)."""
-    vsets = [frozenset(v for e in c for v in e) for c in copies]
-    k = len(copies)
-    seen = [False] * k
-    order = [0]
-    seen[0] = True
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for j in range(k):
-            if not seen[j] and vsets[i] & vsets[j]:
-                seen[j] = True
-                order.append(j)
-                queue.append(j)
-    return order
-
-
 def truncate_spanned(
     P: Pattern, S: SimpleGraph, target: int, budget: int = DEFAULT_MAP_BUDGET
 ) -> SimpleGraph:
@@ -222,7 +226,7 @@ def truncate_spanned(
 
     Copies are taken breadth-first over the copy-overlap graph so that every
     prefix union is connected; the union of the first `target` copies is
-    returned as a compact graph.
+    returned as a compact graph. S must be spanned, whatever the target.
     """
     if target < 1:
         raise DomainError(f"target must be positive, got {target}")
@@ -238,11 +242,11 @@ def truncate_spanned(
         raise NotEnoughCopiesError(
             f"only {len(copies)} copies available, need {target}"
         )
-    order = _overlap_bfs_order(copies)
-    if len(order) < target:
+    first, *rest = _overlap_components(copies)
+    if rest:
         raise NotSpannedError("copy-overlap graph is disconnected")
     union = set()
-    for i in order[:target]:
+    for i in first[:target]:
         union |= copies[i]
     return compact_graph(union)[0]
 

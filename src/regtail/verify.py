@@ -367,9 +367,9 @@ class Size(int):
 _PATTERNS = (str, DEFAULT_PATTERNS)
 _SEED = (int, 0)
 
-# Target -> ({flag: (type, default)}, call). A flag whose default is a
-# tuple, a range or None stands for a grid: a given value narrows it to one
-# point, and the call gets the 1-tuple.
+# Target -> ({flag: (type, default[, help])}, call). A flag whose default is
+# a tuple, a range or None stands for a grid: a given value narrows it to one
+# point, and the call gets the 1-tuple. A None grid names its values in help.
 SWEEPS = {
     "lemma6": ({"pattern": _PATTERNS, "instances": (Size, 1000), "seed": _SEED},
                lambda a: sweep_finner(a.pattern, a.instances, a.seed)),
@@ -384,7 +384,8 @@ SWEEPS = {
     "chernoff": ({}, lambda a: sweep_chernoff()),
     "dyadic": ({"trials": (Size, 10_000), "seed": _SEED},
                lambda a: sweep_dyadic(a.trials, a.seed)),
-    "bk": ({"pattern": (str, "k3"), "n": (Size, (6, 7)), "p": (float, None)},
+    "bk": ({"pattern": (str, "k3"), "n": (Size, (6, 7)),
+            "p": (float, None, "each of 0.05, 0.1, 0.2, 1/n")},
            lambda a: sweep_bk(a.pattern, a.n, a.p)),
     "poisson": ({"pattern": (str, "k3"), "n": (Size, 400), "samples": (Size, 100_000),
                  "seed": _SEED, "workers": (int, 1)},
@@ -394,12 +395,24 @@ SWEEPS = {
 }
 
 
+def flag_help(spec) -> str:
+    """How `verify <target> --help` words a SWEEPS flag's default."""
+    _, default, *text = spec
+    if text:
+        return text[0]
+    if isinstance(default, range):
+        return f"each of {default.start} to {default[-1]}"
+    if isinstance(default, tuple):
+        return "each of " + ", ".join(map(str, default))
+    return f"default: {default}"
+
+
 def run_sweep(target, given) -> list:
     """Run one target's sweep. `given` maps flag names to the values the
     user gave, None where a flag was not given."""
     flags, call = SWEEPS[target]
     values = {}
-    for name, (kind, default) in flags.items():
+    for name, (kind, default, *_) in flags.items():
         value = given.get(name)
         if value is not None and kind is Size:
             if value < 1:

@@ -158,6 +158,25 @@ def test_verify_targets_pass(capsys):
                  "--seed", "2"]) == 0
 
 
+@pytest.mark.parametrize("target, grids", (
+    ("bk", ("each of 6, 7", "each of 0.05, 0.1, 0.2, 1/n", "default: k3")),
+    ("peel", ("each of k3, c4, k4", "each of 2 to 20", "default: 50")),
+    ("lemma6", ("each of k3, c4, k4", "default: 1000", "default: 0")),
+))
+def test_verify_help_words_the_grids(target, grids, capsys, monkeypatch):
+    """A target's help names each grid's values as README does, not a
+    Python repr of its default."""
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", target, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for text in grids:
+        assert text in out
+    for repr_text in ("None", "range(", "(6, 7)", "('k3'"):
+        assert repr_text not in out
+
+
 def test_verify_replay(tmp_path, capsys):
     record = {"target": "chernoff", "N": 20, "M": 10, "p": 0.1}
     path = tmp_path / "record.json"

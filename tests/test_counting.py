@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    copies_in_complete_graph,
+    copies_in_graph,
     edge_rooted_oracle,
     exact_probability_oracle,
+    has_disjoint_copies,
+    max_component_copies,
     planted_expectation_oracle,
     subset_closure_oracle,
     subset_copy_count,
@@ -368,6 +372,13 @@ def _event_array(event, n):
     return event.mask_array(n)
 
 
+def _oracle_holds(event, copies):
+    """The event on a host whose copies of the event's pattern are listed."""
+    if isinstance(event, DisjointCopies):
+        return has_disjoint_copies(copies, event.s)
+    return max_component_copies(copies) >= event.count
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("p", (0.25, 0.4, 0.55, 0.7))
 @pytest.mark.parametrize("n", (6, 7))
@@ -380,7 +391,8 @@ def test_exact_arrays_match_direct_counts(n, p, seed):
     mask = sum(1 << i for i in np.flatnonzero(present).tolist())
     g = SimpleGraph(n, [e for e, keep in zip(pairs, present) if keep])
     for event in _EVENTS:
-        assert bool(_event_array(event, n)[mask]) == event.holds(g), event
+        copies = copies_in_graph(event.pattern.graph.edges, n, g.edges)
+        assert bool(_event_array(event, n)[mask]) == _oracle_holds(event, copies), event
     for pat in (_K3, _C4, _K4):
         assert int(copy_count_array(pat, n)[mask]) == count_copies(pat, g)
 
@@ -388,14 +400,30 @@ def test_exact_arrays_match_direct_counts(n, p, seed):
 @pytest.mark.parametrize("pat", (_K3, _C4), ids=("k3", "c4"))
 def test_spanned_arrays_exhaustive_n5(pat):
     """Every one of the 1,024 graphs on 5 vertices, for every count from 0
-    to 5 and one above the copies of K5: the array entry is holds()."""
+    to 5 and one above the copies of K5: the array entry is the oracle's
+    largest overlap component against the count."""
     pairs = list(combinations(range(5), 2))
-    hosts = [SimpleGraph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
-             for mask in range(1 << len(pairs))]
+    largest = [max_component_copies(copies_in_graph(
+        pat.graph.edges, 5, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+        for mask in range(1 << len(pairs))]
     above = len(iter_copies(pat, complete_graph(5))) + 1
     for count in (*range(6), above):
-        event = HasSpannedWithCopies(pat, count)
-        assert event.mask_array(5).tolist() == [event.holds(g) for g in hosts], count
+        got = HasSpannedWithCopies(pat, count).mask_array(5).tolist()
+        assert got == [size >= count for size in largest], count
+
+
+def test_disjoint_array_exhaustive_n6(k3):
+    """Every one of the 32,768 graphs on 6 vertices: the entry of the
+    two-disjoint-triangles array is the oracle's backtracking search over
+    the triangles of K6 that the graph contains."""
+    slot = {e: i for i, e in enumerate(combinations(range(6), 2))}
+    triangles = copies_in_complete_graph(k3.graph.edges, 6)
+    tri_masks = [sum(1 << slot[e] for e in c) for c in triangles]
+    want = [has_disjoint_copies([c for c, cm in zip(triangles, tri_masks) if mask & cm == cm], 2)
+            for mask in range(1 << len(slot))]
+    got = DisjointCopies(k3, 2).mask_array(6)
+    assert got.tolist() == want
+    assert int(got.sum()) == 4106
 
 
 @pytest.mark.parametrize("dtype", (bool, np.uint8, np.uint16))
@@ -495,23 +523,23 @@ def test_exact_histograms_read_only(k3):
     assert first[1].tobytes() == again[1].tobytes()
 
 
-def test_exact_budget_refusal_not_cached(k3):
-    event = DisjointCopies(k3, 2, family_cap=5)  # K6 holds 10 families
+def test_exact_budget_refusal_not_cached(monkeypatch, k3):
+    """n = 8 is refused on every call, before any array over the 2^28
+    masks exists: neither the probability nor the event's search allocates
+    one."""
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) < 1 << 28, shape
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    event = DisjointCopies(k3, 2)
     for _ in range(2):
-        with pytest.raises(BudgetExceededError):
-            exact_probability(GnpModel(6, 0.2), event)
-
-
-def test_disjoint_holds_budget(k3):
-    """holds draws each partial family it tries from family_cap. In K6
-    two disjoint triangles are found on the second draw; three are not
-    there, and ruling them out tries all 20 triangles and the 10 pairs of
-    complementary ones: 30 draws."""
-    g = complete_graph(6)
-    assert DisjointCopies(k3, 2, family_cap=2).holds(g)
-    assert not DisjointCopies(k3, 3, family_cap=30).holds(g)
-    with pytest.raises(BudgetExceededError):
-        DisjointCopies(k3, 3, family_cap=29).holds(g)
+        with pytest.raises(TooLargeError):
+            exact_probability(GnpModel(8, 0.2), event)
+        with pytest.raises(TooLargeError):
+            event.mask_array(8)
 
 
 def test_exact_probability_monotone_in_p(k3):

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from oracles import subset_copy_count
+from oracles import copies_in_graph, max_component_copies, subset_copy_count
 from regtail.counting import count_copies, count_copies_through_edge
 from regtail.errors import (
     DomainError,
@@ -66,6 +68,21 @@ def test_decompose_conservation(k3, c4):
                 for c in comp.copies:
                     covered |= c
                 assert covered == set(comp.graph.edges)
+
+
+def test_decompose_group_sizes_match_oracle(k3, c4):
+    """On seeded G(n, p) draws the largest component's copy count is the
+    oracle's largest overlap component, and the counts add up to all copies."""
+    rng = np.random.default_rng(12)
+    for _ in range(80):
+        n, p = int(rng.integers(4, 10)), rng.uniform(0.2, 0.6)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        for pat in (k3, c4):
+            copies = copies_in_graph(pat.graph.edges, n, edges)
+            dec = spanned_decompose(pat, SimpleGraph(n, edges))
+            sizes = [c.copy_count for c in dec.components]
+            assert max(sizes, default=0) == max_component_copies(copies)
+            assert sum(sizes) == len(copies)
 
 
 def test_minimal_spanning_count(k3):
@@ -136,6 +153,14 @@ def test_truncate_spanned(k3):
         truncate_spanned(k3, BOOK, 5)
     with pytest.raises(NotSpannedError):
         truncate_spanned(k3, SimpleGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 1)
+
+
+@pytest.mark.parametrize("target", (1, 2))
+def test_truncate_refuses_disconnected_copies(k3, target):
+    """Two vertex-disjoint triangles are not spanned, whatever the target."""
+    g = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(NotSpannedError, match="disconnected"):
+        truncate_spanned(k3, g, target)
 
 
 def test_truncate_validates_on_random_glued(k3, c4):
