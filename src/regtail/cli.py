@@ -65,6 +65,45 @@ def _default_p(args, pattern) -> float:
     return threshold_probability(args.n, pattern.delta)
 
 
+def _add_common(p, *names):
+    if "pattern" in names:
+        p.add_argument("--pattern", required=True, help="k3|c4|k4|k5 or @edgelist-file")
+    if "n" in names:
+        p.add_argument("--n", type=int, required=True)
+    if "p" in names:
+        p.add_argument("--p", type=float, default=None,
+                       help="edge probability (default: n**(-2/delta))")
+    if "seed" in names:
+        p.add_argument("--seed", type=int, default=0)
+    if "workers" in names:
+        p.add_argument("--workers", type=int, default=1)
+    if "format" in names:
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    if "out" in names:
+        p.add_argument("--out", default=None, help="write output to this file")
+
+
+class _VerifyTargetParser(argparse.ArgumentParser):
+    """The subparser of one verify target. It adds the target's flags when
+    it first parses: a run names one target at most, and the flags of all
+    ten would cost every run about 1 ms."""
+
+    def __init__(self, *args, target, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.target, self.flagged = target, False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self.flagged:
+            self.flagged = True
+            for name, spec in verify_mod.SWEEPS[self.target][0].items():
+                self.add_argument(f"--{name}", type=spec[0], default=None,
+                                  help=verify_mod.flag_help(spec))
+            _add_common(self, "out")
+            self.add_argument("--replay", default=None,
+                              help="file with one violation record to rerun")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -73,45 +112,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *names):
-        if "pattern" in names:
-            p.add_argument("--pattern", required=True, help="k3|c4|k4|k5 or @edgelist-file")
-        if "n" in names:
-            p.add_argument("--n", type=int, required=True)
-        if "p" in names:
-            p.add_argument("--p", type=float, default=None,
-                           help="edge probability (default: n**(-2/delta))")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=0)
-        if "workers" in names:
-            p.add_argument("--workers", type=int, default=1)
-        if "format" in names:
-            p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        if "out" in names:
-            p.add_argument("--out", default=None, help="write output to this file")
-
     p = sub.add_parser("sample", help="draw one G(n, p) sample as an edge list")
-    add_common(p, "n", "p", "seed", "out")
+    _add_common(p, "n", "p", "seed", "out")
     p.add_argument("--delta", type=int, default=2,
                    help="degree used for the default threshold probability")
 
     p = sub.add_parser("count", help="count pattern copies in a graph")
-    add_common(p, "pattern")
+    _add_common(p, "pattern")
     p.add_argument("--graph", required=True, help="@edgelist-file")
 
     p = sub.add_parser("decompose", help="spanned components of a graph")
-    add_common(p, "pattern", "format", "out")
+    _add_common(p, "pattern", "format", "out")
     p.add_argument("--graph", required=True, help="@edgelist-file")
 
     p = sub.add_parser("core", help="peel a planted graph toward a core")
-    add_common(p, "pattern", "n", "p", "format", "out")
+    _add_common(p, "pattern", "n", "p", "format", "out")
     p.add_argument("--graph", required=True, help="@edgelist-file of the planted graph")
     p.add_argument("--k", type=int, required=True, help="target copy count")
     p.add_argument("--w", type=float, default=0.0, help="slack parameter (default 1/ln n)")
     p.add_argument("--cs", type=float, default=10.0, help="seed constant")
 
     p = sub.add_parser("bounds", help="JSON record of all closed-form bound values")
-    add_common(p, "pattern", "n", "p", "out")
+    _add_common(p, "pattern", "n", "p", "out")
     p.add_argument("--k", type=int, default=None, help="tail threshold")
     p.add_argument("--m", type=int, default=None, help="host edge count for the hom bound")
     p.add_argument("--da", type=int, default=None)
@@ -119,25 +141,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, default=None, help="planted edge count")
 
     p = sub.add_parser("tail", help="Monte Carlo tail estimate at one threshold")
-    add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
+    _add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("scan", help="tail scan over a threshold range")
-    add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
+    _add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
     p.add_argument("--kmin", type=int, default=1)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("verify", help="run one invariant sweep, or replay one record")
-    targets = p.add_subparsers(dest="target", required=True)
-    for target, (flags, _) in verify_mod.SWEEPS.items():
-        t = targets.add_parser(target)
-        for name, spec in flags.items():
-            t.add_argument(f"--{name}", type=spec[0], default=None,
-                           help=verify_mod.flag_help(spec))
-        add_common(t, "out")
-        t.add_argument("--replay", default=None, help="file with one violation record to rerun")
+    targets = p.add_subparsers(dest="target", required=True, parser_class=_VerifyTargetParser)
+    for target in verify_mod.SWEEPS:
+        targets.add_parser(target, target=target)
     return top
 
 

@@ -285,7 +285,10 @@ class Pattern:
     """A connected regular pattern graph with its cached invariants.
 
     aut_count is the order of the automorphism group, needed to convert
-    injective homomorphism counts into copy counts.
+    injective homomorphism counts into copy counts. edge_triangles is t(H),
+    the fewest triangles of the pattern through one of its edges (q - 2 for
+    K_q, 0 for C_q with q >= 4): an edge of a host graph in fewer triangles
+    lies in no copy.
     """
 
     graph: SimpleGraph
@@ -293,6 +296,7 @@ class Pattern:
     delta: int
     edge_count: int
     aut_count: int
+    edge_triangles: int
 
     @property
     def copies_per_set(self) -> int:
@@ -334,6 +338,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         delta=delta,
         edge_count=g.m,
         aut_count=count_automorphisms(g),
+        edge_triangles=min(len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges),
     )
 
 

@@ -11,13 +11,17 @@ sampled in chunks of graphs as edge arrays. For n <= MAX_EXACT_N a graph's
 count is read from the exact copy count array at its edge bitmask, the
 array that fills the scan's exact column. For larger n every graph of a
 chunk is peeled to its delta-core at once in numpy (a delta-regular
-pattern's copies all lie there), and the core's connected components are
-labeled by hook and shortcut. A component that is a single cycle holds one
-copy if the pattern is that cycle and none otherwise; the copy kernel runs
-only on the complex components (more edges than vertices). Near the
-threshold p = n**(-2/delta) most samples are sparse, and most nonempty
-cores are disjoint cycles, so the cost follows the edges drawn rather than
-the C(n, 2) vertex pairs.
+pattern's copies all lie there). When t(H), the fewest triangles of the
+pattern through one of its edges, is at least 1 (q - 2 for K_q, 0 for C_q
+with q >= 4), the core is pruned as a truss: its edges in fewer than t(H)
+triangles lie in no copy, so they are dropped and the delta-core is peeled
+again, until no edge is dropped. The core's connected components are then labeled by hook and
+shortcut. A component that is a single cycle holds one copy if the pattern
+is that cycle and none otherwise; the copy kernel runs only on the complex
+components (more edges than vertices). Near the threshold
+p = n**(-2/delta) most samples are sparse, and most nonempty cores are
+disjoint cycles (or, after the truss prune, empty), so the cost follows the
+edges drawn rather than the C(n, 2) vertex pairs.
 """
 
 from __future__ import annotations
@@ -99,6 +103,12 @@ class TailRow:
 MC_CHUNK_ENTRIES = 1 << 16
 
 
+# Edge pairs closed at once in triangle_support: a dense graph's
+# O(m**1.5) pairs never sit in memory together. A K5 chunk at its threshold
+# (n = 400) has about 350,000.
+SUPPORT_BLOCK = 1 << 20
+
+
 def _chunk_graphs(n: int, p: float) -> int:
     """Graphs per sampled chunk: its vertex and expected edge arrays stay
     within MC_CHUNK_ENTRIES entries."""
@@ -123,6 +133,48 @@ def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int):
         size = int(label[-1]) + 1
         a, b, idx = label[a[keep]], label[b[keep]], idx[keep]
     return idx, a, b, size
+
+
+def triangle_support(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """The number of triangles through each edge (a[i], b[i]) of a simple
+    graph on vertices 0..size-1.
+
+    Forward listing (Schank and Wagner, WEA 2005): rank the vertices by
+    (degree, label) and orient each edge toward its higher-ranked end. A
+    triangle is then found once, at its lowest-ranked vertex, as a pair of
+    that vertex's out-edges closed by the edge between their heads, which
+    searchsorted finds among the sorted edge keys. Out-degrees stay below
+    sqrt(2m), so there are O(m**1.5) pairs.
+    """
+    m = len(a)
+    rank = np.empty(size, dtype=np.int64)
+    deg = np.bincount(np.concatenate((a, b)), minlength=size)
+    rank[np.argsort(deg * size + np.arange(size))] = np.arange(size)
+    ra, rb = rank[a], rank[b]
+    key = np.minimum(ra, rb) * size + np.maximum(ra, rb)
+    order = np.argsort(key)
+    key = key[order]
+    tail, head = np.divmod(key, size)
+    # pair out-edge i with each later out-edge j of its tail, a block of
+    # about SUPPORT_BLOCK pairs at a time: in a block from edge lo, the
+    # pair numbered g is j = i + 1 + g - (pairs from lo to i)
+    first = np.arange(1, m + 1)
+    later = np.cumsum(np.bincount(tail, minlength=size))[tail] - first
+    before = np.cumsum(later) - later
+    support = np.zeros(m, dtype=np.int64)
+    lo = 0
+    while lo < m:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + SUPPORT_BLOCK)))
+        i = np.repeat(np.arange(lo, hi), later[lo:hi])
+        j = np.arange(len(i)) + np.repeat(first[lo:hi] - before[lo:hi] + before[lo], later[lo:hi])
+        close = head[i] * size + head[j]
+        at = np.minimum(np.searchsorted(key, close), m - 1)
+        hit = key[at] == close
+        support += np.bincount(np.concatenate((i[hit], j[hit], at[hit])), minlength=m)
+        lo = hi
+    out = np.empty(m, dtype=np.int64)
+    out[order] = support
+    return out
 
 
 def _hook(par: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -163,14 +215,25 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
     in graph graph[i], sorted by graph.
 
     Every vertex of a copy of a delta-regular pattern has degree delta in
-    the copy, so every copy lies in the delta-core, and in one component of
-    it (patterns are connected). A core component with v vertices and e
-    edges is a cycle (e == v), which holds one copy if the pattern is C_v
+    the copy, so every copy lies in the delta-core. Every edge of a copy
+    lies in at least t(H) = P.edge_triangles triangles of the copy, so when
+    t(H) >= 1 the core's edges in fewer triangles (`triangle_support`) are
+    dropped and the delta-core is peeled again, until no edge is dropped:
+    the k-truss rule (Cohen, "Trusses", NSA technical report, 2008; Wang
+    and Cheng, PVLDB 5 (2012) 812-823). Each copy lies in one component of
+    what is left (patterns are connected). A component with v vertices and
+    e edges is a cycle (e == v), which holds one copy if the pattern is C_v
     and none otherwise, or complex (e > v). The copy kernel runs once per
     graph, on its complex components with at least q vertices and e(H)
     edges, and only on graphs that have one.
     """
     keep, a, b, size = _core_edges(graph * n + u, graph * n + v, count * n, P.delta)
+    while P.edge_triangles and len(keep):
+        held = triangle_support(a, b, size) >= P.edge_triangles
+        if held.all():
+            break
+        core, a, b, size = _core_edges(a[held], b[held], size, P.delta)
+        keep = keep[held][core]
     if not len(keep):
         return np.zeros(count, dtype=np.int64)
     graph, u, v = graph[keep], u[keep], v[keep]

@@ -5,7 +5,7 @@ enumerating edge subsets and testing isomorphism with a permutation search,
 and planted expectations are summed copy by copy. Slow and obviously
 correct. The subset-closure oracle keeps the plain one-view fold that the
 package's closure reorganises for speed. Component labels come from a
-sequential union-find.
+sequential union-find, and triangle supports from every vertex triple.
 """
 
 from itertools import combinations, permutations
@@ -243,3 +243,18 @@ def component_labels_oracle(size, edges):
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
     return [find(x) for x in range(size)]
+
+
+def triangle_support_oracle(size, edges):
+    """For each edge in order, the number of triangles through it: every
+    vertex triple of 0..size-1 whose three pairs are all edges credits
+    each of its pairs."""
+    edges = [tuple(sorted(e)) for e in edges]
+    host = set(edges)
+    count = dict.fromkeys(host, 0)
+    for tri in combinations(range(size), 3):
+        pairs = list(combinations(tri, 2))
+        if all(e in host for e in pairs):
+            for e in pairs:
+                count[e] += 1
+    return [count[e] for e in edges]

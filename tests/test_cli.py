@@ -343,6 +343,22 @@ def test_verify_parser_is_built_once_and_keeps_no_values(recorded_sweeps):
     assert recorded_sweeps == SWEEP_CALLS[1][1] + SWEEP_CALLS[0][1]
 
 
+def test_verify_flags_are_built_only_for_the_named_target(monkeypatch, capsys):
+    # a fresh parser builds no verify target's flags for a scan, and one
+    # target's flags once, when that target parses
+    built = []
+    flag_help = verify.flag_help
+    monkeypatch.setattr(verify, "flag_help", lambda spec: built.append(spec) or flag_help(spec))
+    parser = cli._build_parser.__wrapped__()
+    parser.parse_args(["scan", "--pattern", "k3", "--n", "6", "--kmax", "1"])
+    assert built == []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "dyadic", "--help"])
+        assert capsys.readouterr().out.count("--trials") == 2
+        assert built == list(verify.SWEEPS["dyadic"][0].values())
+
+
 @pytest.mark.parametrize("argv", [
     ["lemma18", "--pattern", "zz"],
     ["lemma18", "--pattern", "zz", "--instances", "5"],

@@ -19,6 +19,7 @@ from regtail.graphs import (
     cycle_graph,
     empty_graph,
     make_pattern,
+    named_pattern,
     read_edge_list,
     sample_gnp,
     sample_gnp_batch,
@@ -73,12 +74,34 @@ def test_complete_graph_automorphisms():
         assert p.aut_count == math.factorial(q)
 
 
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+OCTAHEDRON = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 3]
+
+
 def test_petersen_automorphisms():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    p = make_pattern(SimpleGraph(10, outer + spokes + inner))
+    p = make_pattern(SimpleGraph(10, PETERSEN))
     assert (p.q, p.delta, p.edge_count, p.aut_count) == (10, 3, 15, 120)
+
+
+@pytest.mark.parametrize("name, g, t", [
+    ("k3", complete_graph(3), 1),
+    ("k4", complete_graph(4), 2),
+    ("k5", complete_graph(5), 3),
+    ("c4", cycle_graph(4), 0),
+    ("c5", cycle_graph(5), 0),
+    ("prism", SimpleGraph(6, PRISM), 0),
+    ("k33", SimpleGraph(6, K33), 0),
+    ("petersen", SimpleGraph(10, PETERSEN), 0),
+    ("octahedron", SimpleGraph(6, OCTAHEDRON), 2),
+])
+def test_pattern_edge_triangles(name, g, t):
+    # t(H): the fewest triangles through one edge of the pattern
+    assert make_pattern(g).edge_triangles == t
+    if name in ("k3", "k4", "k5", "c4"):
+        assert named_pattern(name).edge_triangles == t
 
 
 def test_threshold_probability():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import component_labels_oracle
+from oracles import component_labels_oracle, triangle_support_oracle
 
 from regtail import tails
 from regtail.counting import (
@@ -16,6 +16,7 @@ from regtail.errors import BlockTooSmallError, DomainError, TooFewVerticesError
 from regtail.graphs import (
     GnpModel,
     SimpleGraph,
+    complete_graph,
     cycle_graph,
     make_pattern,
     named_pattern,
@@ -38,6 +39,7 @@ from regtail.tails import (
     rows_to_csv,
     rows_to_json,
     scan_phase_transition,
+    triangle_support,
     wilson_interval,
 )
 
@@ -98,13 +100,13 @@ def _replay_unpruned(P, n, p, seed):
     return counts.tolist(), want
 
 
-@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 30, 400])
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed,n,name", [
+    (seed, n, name) for seed in (0, 1) for n in (4, 5, 6, 7, 30, 400) for name in ("k3", "c4", "k4")
+] + [(seed, n, "k5") for seed in (0, 1) for n in (8, 30)])
 def test_mc_counts_match_unpruned_kernel(name, n, seed):
     # neither the lookup in the exact copy count array (n <= 7) nor the
-    # delta-core prune and its component split drops a copy: the engine's
-    # counts equal the kernel's on the full graphs
+    # delta-core prune, the truss prune and the component split drops a
+    # copy: the engine's counts equal the kernel's on the full graphs
     P = named_pattern(name)
     p = 1.5 * threshold_probability(n, P.delta)  # every case then sees copies
     counts, want = _replay_unpruned(P, n, p, seed)
@@ -148,12 +150,44 @@ CHUNK_GRAPHS = {
     "empty": [],
 }
 
-# delta -> the edges of the complex delta-core components, per graph that has one
+# pattern -> the edges of the complex components left after the delta-core
+# and truss prunes, per graph that has one; for K3 the truss prune drops the
+# theta, the 4-cycle and the cycle's edges off the chord's triangle
 KERNEL_EDGES = {
-    2: {"bowtie": CHUNK_GRAPHS["bowtie"], "theta": CHUNK_GRAPHS["theta"],
-        "cycle with chord": CHUNK_GRAPHS["cycle with chord"],
-        "K4 with pendant path": K4_EDGES, "4-cycle, bowtie and theta": MIXED[4:]},
-    3: {"K4 with pendant path": K4_EDGES},
+    "k3": {"bowtie": CHUNK_GRAPHS["bowtie"], "K4 with pendant path": K4_EDGES,
+           "4-cycle, bowtie and theta": MIXED[4:10]},
+    "c4": {"bowtie": CHUNK_GRAPHS["bowtie"], "theta": CHUNK_GRAPHS["theta"],
+           "cycle with chord": CHUNK_GRAPHS["cycle with chord"],
+           "K4 with pendant path": K4_EDGES, "4-cycle, bowtie and theta": MIXED[4:]},
+    "k4": {"K4 with pendant path": K4_EDGES},
+}
+
+K5_EDGES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+
+
+def _diamond(s, x, y, t):
+    """Two triangles on the edge (x, y), with tips s and t."""
+    return [(s, x), (s, y), (x, y), (x, t), (y, t)]
+
+
+# hand-built graphs on 16 vertices for the truss prune, one chunk in this order
+TRUSS_GRAPHS = {
+    "K4 with pendant triangle": K4_EDGES + _cycle(3, 4, 5),
+    "chain of diamonds": _diamond(0, 1, 2, 3) + _diamond(3, 4, 5, 6) + _diamond(6, 7, 8, 9),
+    "ring of diamonds": _diamond(0, 1, 2, 3) + _diamond(3, 4, 5, 6) + _diamond(6, 7, 8, 0),
+    "K5 minus an edge": K5_EDGES[:-1],
+    "wheel W6": _cycle(1, 2, 3, 4, 5, 6) + [(0, v) for v in range(1, 7)],
+    "two K4 sharing an edge": K4_EDGES + [(0, 4), (0, 5), (1, 4), (1, 5), (4, 5)],
+    "K5 and a K4": K5_EDGES + [(a + 5, b + 5) for a, b in K4_EDGES],
+}
+# pattern -> the edges the kernel sees, per graph it runs on (K3 and C4:
+# every graph, whole). For K4 the ring of diamonds and the wheel are
+# 3-cores without a K4: their tip and rim edges lie in one triangle each,
+# so the prune leaves nothing.
+TRUSS_KERNEL = {
+    "k4": {g: TRUSS_GRAPHS[g] for g in ("K5 minus an edge", "two K4 sharing an edge",
+                                        "K5 and a K4")} | {"K4 with pendant triangle": K4_EDGES},
+    "k5": {"K5 and a K4": K5_EDGES},
 }
 
 
@@ -163,11 +197,8 @@ def _chunk(graphs):
     return tuple(np.array([r[j] for r in rows], dtype=np.int64) for j in range(3))
 
 
-@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
-def test_chunk_counts_hand_built(name, monkeypatch):
-    P = named_pattern(name)
-    graphs = list(CHUNK_GRAPHS.values())
-    want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
+def _kernel_calls(monkeypatch):
+    """The edges of each graph the copy kernel is called on in tails."""
     calls = []
 
     def counting(P, g, budget):
@@ -175,16 +206,41 @@ def test_chunk_counts_hand_built(name, monkeypatch):
         return count_copies(P, g, budget)
 
     monkeypatch.setattr(tails, "count_copies", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
+def test_chunk_counts_hand_built(name, monkeypatch):
+    P = named_pattern(name)
+    graphs = list(CHUNK_GRAPHS.values())
+    want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
+    calls = _kernel_calls(monkeypatch)
     got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
     assert got.tolist() == want
     # the kernel runs once per graph with a complex core component, on
     # those components' edges only, and never on a graph of cycles
-    kernel = KERNEL_EDGES[P.delta]
+    kernel = KERNEL_EDGES[name]
     assert calls == [SimpleGraph(16, kernel[g]).edges for g in CHUNK_GRAPHS if g in kernel]
     if name == "k3":
         assert want == [1, 0, 0, 2, 0, 1, 0, 4, 1, 2, 0]
     if name == "c4":
         assert want == [0, 1, 0, 0, 1, 1, 1, 3, 1, 2, 0]
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
+def test_chunk_counts_truss_prune(name, monkeypatch):
+    P = named_pattern(name)
+    graphs = list(TRUSS_GRAPHS.values())
+    want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
+    calls = _kernel_calls(monkeypatch)
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    assert got.tolist() == want
+    kernel = TRUSS_KERNEL.get(name, TRUSS_GRAPHS)
+    assert calls == [SimpleGraph(16, kernel[g]).edges for g in TRUSS_GRAPHS if g in kernel]
+    if name == "k4":
+        assert want == [1, 0, 0, 2, 0, 2, 6]
+    if name == "k5":
+        assert want == [0, 0, 0, 0, 0, 0, 1]
 
 
 def test_chunk_counts_skip_small_complex_components(monkeypatch):
@@ -193,16 +249,64 @@ def test_chunk_counts_skip_small_complex_components(monkeypatch):
     P = make_pattern(cycle_graph(5))
     graphs = [_cycle(0, 1, 2, 3) + [(0, 2)], _cycle(0, 1, 2, 3, 4),
               [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]]
-    calls = []
-
-    def counting(P, g, budget):
-        calls.append(g.edges)
-        return count_copies(P, g, budget)
-
-    monkeypatch.setattr(tails, "count_copies", counting)
+    calls = _kernel_calls(monkeypatch)
     got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)
     assert got.tolist() == [count_copies(P, SimpleGraph(12, g)) for g in graphs] == [0, 1, 2]
     assert calls == [SimpleGraph(12, graphs[2]).edges]
+
+
+def _random_edges(rng, size, density):
+    """A random simple edge set on 0..size-1 as (a, b) arrays, in random
+    order and with each edge's ends in random order."""
+    pairs = np.array([(u, v) for u in range(size) for v in range(u + 1, size)],
+                     dtype=np.int64).reshape(-1, 2)
+    edges = rng.permutation(pairs[rng.random(len(pairs)) < density])
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges[:, 0], edges[:, 1]
+
+
+def _support_oracle(a, b, size):
+    return triangle_support_oracle(size, zip(a.tolist(), b.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_triangle_support_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(3, 40))
+    a, b = _random_edges(rng, size, rng.random())
+    got = triangle_support(a, b, size)
+    assert got.dtype == np.int64
+    assert got.tolist() == _support_oracle(a, b, size)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triangle_support_on_a_chunk(seed, monkeypatch):
+    # graphs laid side by side as in a chunk, some labels left with no
+    # edges: each graph's supports are its own, wherever it sits, and the
+    # same when the pairs are closed a few at a time
+    rng = np.random.default_rng(seed)
+    n, count = 20, 6
+    parts = [_random_edges(rng, n, rng.uniform(0.1, 0.6)) for _ in range(count)]
+    size = 3 * n * count
+    spread = np.sort(rng.choice(size, n * count, replace=False))  # unused labels between
+    a = np.concatenate([spread[g * n + x] for g, (x, _) in enumerate(parts)])
+    b = np.concatenate([spread[g * n + y] for g, (_, y) in enumerate(parts)])
+    got = triangle_support(a, b, size)
+    assert got.tolist() == sum((_support_oracle(x, y, n) for x, y in parts), [])
+    monkeypatch.setattr(tails, "SUPPORT_BLOCK", 5)
+    assert triangle_support(a, b, size).tolist() == got.tolist()
+
+
+def test_triangle_support_small_cases():
+    empty = np.zeros(0, dtype=np.int64)
+    assert triangle_support(empty, empty, 0).tolist() == []
+    assert triangle_support(empty, empty, 9).tolist() == []
+    a, b = (np.array(x, dtype=np.int64) for x in zip(*complete_graph(12).edges))
+    assert triangle_support(a, b, 12).tolist() == [10] * 66
+    assert triangle_support(b + 5, a + 5, 40).tolist() == [10] * 66
+    a, b = (np.array(x, dtype=np.int64) for x in zip(*_cycle(0, 1, 2, 3)))
+    assert triangle_support(a, b, 4).tolist() == [0] * 4
 
 
 @pytest.mark.parametrize("seed", range(6))
