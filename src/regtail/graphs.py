@@ -356,6 +356,8 @@ class GnpModel:
             raise DomainError(f"p must lie in [0, 1], got {self.p}")
         if self.n < 0:
             raise DomainError(f"n must be nonnegative, got {self.n}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 def threshold_probability(n: int, delta: int) -> float:
@@ -397,12 +399,15 @@ def _slot_pairs(n: int, slots: np.ndarray):
     Counting from the end keeps the square root free of cancellation. Its
     float value is never low, since the rounded root of the odd square
     (2k+1)**2 is exact, and at most one too high, for t just below the next
-    row; that case is stepped back.
+    row; that case is stepped back, with its triangular number.
     """
     t = n * (n - 1) // 2 - 1 - slots
-    k = ((np.sqrt(8.0 * t + 1.0) - 1.0) // 2.0).astype(np.int64)
-    k -= k * (k + 1) // 2 > t
-    return n - 2 - k, n - 1 - (t - k * (k + 1) // 2)
+    k = ((np.sqrt(8.0 * t + 1.0) - 1.0) * 0.5).astype(np.int64)
+    tri = k * (k + 1) >> 1
+    over = tri > t
+    tri -= over * k
+    k -= over
+    return n - 2 - k, n - 1 - (t - tri)
 
 
 def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):

@@ -418,6 +418,8 @@ def run_sweep(target, given) -> list:
             if value < 1:
                 raise DomainError(f"--{name} must be positive, got {value}")
             value = int(value)  # caches keyed by an int miss a Size
+        if name == "seed" and value is not None and value < 0:
+            raise DomainError(f"--seed must be nonnegative, got {value}")
         if value is None:
             value = default
         elif default is None or isinstance(default, (tuple, range)):

@@ -6,8 +6,11 @@ and planted expectations are summed copy by copy. Slow and obviously
 correct. The subset-closure oracle keeps the plain one-view fold that the
 package's closure reorganises for speed. Component labels come from a
 sequential union-find, and triangle supports from every vertex triple.
+The truss core is a set fixpoint over adjacency sets, and edge slots map to
+their endpoints by integer square roots.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -258,3 +261,35 @@ def triangle_support_oracle(size, edges):
             for e in pairs:
                 count[e] += 1
     return [count[e] for e in edges]
+
+
+def truss_core_oracle(edges, delta, triangles):
+    """The edges of the largest subgraph in which every vertex has degree at
+    least delta and every edge lies in at least `triangles` triangles:
+    drop every edge that breaks either rule in the current graph, and
+    repeat until none does."""
+    kept = {tuple(sorted(e)) for e in edges}
+    while True:
+        adj = {}
+        for u, v in kept:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        bad = {(u, v) for u, v in kept
+               if min(len(adj[u]), len(adj[v])) < delta or len(adj[u] & adj[v]) < triangles}
+        if not bad:
+            return kept
+        kept -= bad
+
+
+def slot_pair_oracle(n, slot):
+    """The endpoints (u, v), u < v, of row-major edge slot `slot` of K_n:
+    row u starts at slot u*(2n-u-1)/2, and `slot` lies in the last row that
+    starts at or before it, found by an exact integer square root."""
+    # u*(2n-1-u)/2 <= slot for u up to ((2n-1) - sqrt((2n-1)**2 - 8 slot)) / 2;
+    # the loops settle the integer rounding
+    u = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * slot)) // 2
+    while u * (2 * n - 1 - u) // 2 > slot:
+        u -= 1
+    while (u + 1) * (2 * n - 2 - u) // 2 <= slot:
+        u += 1
+    return u, u + 1 + slot - u * (2 * n - 1 - u) // 2

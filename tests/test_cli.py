@@ -255,6 +255,21 @@ def test_verify_nonpositive_size_is_domain_error(target, flag, value, capsys):
     assert json.loads(captured.err.strip())["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--pattern", "k3", "--n", "30", "--kmax", "2", "--samples", "10"],
+    ["tail", "--pattern", "k3", "--n", "30", "--k", "1", "--samples", "10"],
+    ["sample", "--n", "10"],
+    ["verify", "lemma6", "--instances", "2"],
+    ["verify", "poisson", "--n", "30", "--samples", "10"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_negative_seed_is_domain_error(argv, capsys):
+    # numpy's seeding used to end these with a ValueError traceback
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "DomainError"
+
+
 def test_cli_type_hints_resolve():
     """Every annotation in regtail.cli names something the module imports."""
     functions = [f for _, f in inspect.getmembers(cli, inspect.isfunction)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import slot_pair_oracle
 
 from regtail.errors import (
     DomainError,
@@ -119,6 +120,13 @@ def test_sample_gnp_endpoints():
     assert sample_gnp(GnpModel(6, 1.0, seed=1)) == complete_graph(6)
 
 
+def test_gnp_model_rejects_a_negative_seed():
+    # numpy's seeding would raise a bare ValueError later, mid-run
+    with pytest.raises(DomainError):
+        GnpModel(8, 0.5, seed=-1)
+    assert GnpModel(8, 0.5, seed=0).seed == 0
+
+
 def test_sample_gnp_deterministic():
     a = sample_gnp(GnpModel(30, 0.2, seed=42))
     b = sample_gnp(GnpModel(30, 0.2, seed=42))
@@ -188,6 +196,20 @@ def test_slot_pairs_row_major():
     slots = np.array([u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in pairs])
     u, v = _slot_pairs(n, slots)
     assert list(zip(u.tolist(), v.tolist())) == pairs
+
+
+@pytest.mark.parametrize("n", [400, 10**5, 10**9])
+def test_slot_pairs_match_integer_oracle(n):
+    # seeded random slots, and the first and last slot of every row (at
+    # n = 10**9, of seeded random rows and of the first and last 1000)
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    rows = np.arange(n - 1) if n < 10**6 else np.unique(np.concatenate(
+        [rng.integers(0, n - 1, 10**5), np.arange(1000), np.arange(n - 1001, n - 1)]))
+    first = rows * (2 * n - rows - 1) // 2
+    slots = np.concatenate([rng.integers(0, m, 10**5), first, first + n - 2 - rows])
+    u, v = _slot_pairs(n, slots)
+    assert list(zip(u.tolist(), v.tolist())) == [slot_pair_oracle(n, s) for s in slots.tolist()]
 
 
 def test_thin_edges_endpoints():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import component_labels_oracle, triangle_support_oracle
+from oracles import component_labels_oracle, triangle_support_oracle, truss_core_oracle
 
 from regtail import tails
 from regtail.counting import (
@@ -29,6 +29,7 @@ from regtail.tails import (
     _chunk_counts,
     _chunk_graphs,
     _components,
+    _core_edges,
     _mc_counts,
     clique_lower_bound,
     crossover_k,
@@ -253,6 +254,74 @@ def test_chunk_counts_skip_small_complex_components(monkeypatch):
     got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)
     assert got.tolist() == [count_copies(P, SimpleGraph(12, g)) for g in graphs] == [0, 1, 2]
     assert calls == [SimpleGraph(12, graphs[2]).edges]
+
+
+def _assert_keeps_truss_core(P, n, graph, u, v, monkeypatch):
+    """`_chunk_counts` keeps exactly the edges the set fixpoint keeps (the
+    copy kernel stubbed out: only the kept edges are checked)."""
+    kept = []
+
+    def recording(*args):
+        kept.append(_core_edges(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(tails, "_core_edges", recording)
+    monkeypatch.setattr(tails, "count_copies", lambda P, g, budget: 0)
+    _chunk_counts(P, n, int(graph.max(initial=0)) + 1, graph, u, v, DEFAULT_MAP_BUDGET)
+    ((keep, *_),) = kept
+    edges = [((g, x), (g, y)) for g, x, y in zip(graph.tolist(), u.tolist(), v.tolist())]
+    assert {edges[i] for i in keep.tolist()} == truss_core_oracle(edges, P.delta, P.edge_triangles)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("n", [30, 400])
+@pytest.mark.parametrize("name", ["k3", "k4", "k5"])
+def test_chunk_counts_keep_the_truss_core(name, n, scale, monkeypatch):
+    # the truss prune runs before any peel, then the two alternate; any
+    # order of removals reaches the one largest subgraph with degree >=
+    # delta and every edge in >= t(H) triangles
+    P = named_pattern(name)
+    p = scale * threshold_probability(n, P.delta)
+    graph, u, v = sample_gnp_batch(n, p, min(4, _chunk_graphs(n, p)), worker_rng(7, n))
+    _assert_keeps_truss_core(P, n, graph, u, v, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
+@pytest.mark.parametrize("graphs", [CHUNK_GRAPHS, TRUSS_GRAPHS], ids=["chunk", "truss"])
+def test_chunk_counts_keep_the_truss_core_hand_built(name, graphs, monkeypatch):
+    _assert_keeps_truss_core(named_pattern(name), 16, *_chunk(list(graphs.values())), monkeypatch)
+
+
+@pytest.mark.parametrize("triangles", [0, 1])
+@pytest.mark.parametrize("pairs,kept", [
+    (_cycle(3, 9, 40) + _cycle(12, 20, 45), True),  # spread-out labels, none dropped
+    ([(0, 5), (5, 9), (9, 30), (2, 8)], False),
+    ([], False),
+], ids=["none-dropped", "all-dropped", "empty"])
+def test_core_edges_labels_are_compact(pairs, kept, triangles):
+    a, b = (np.array([e[j] for e in pairs], dtype=np.int64) for j in range(2))
+    idx, ca, cb, size = _core_edges(a, b, 50, 2, triangles)
+    assert idx.tolist() == (list(range(len(pairs))) if kept else [])
+    ends = np.unique(np.concatenate((a[idx], b[idx])))
+    assert size == len(ends)
+    # labels number the kept edges' endpoints in their input order
+    assert ca.tolist() == np.searchsorted(ends, a[idx]).tolist()
+    assert cb.tolist() == np.searchsorted(ends, b[idx]).tolist()
+
+
+def test_triangle_support_ignores_edge_order_and_orientation():
+    # a K4-threshold chunk as the sampler lays it out, shuffled, and with
+    # every edge's ends swapped: the supports follow the edges
+    n = 30
+    graph, u, v = sample_gnp_batch(n, 3 * threshold_probability(n, 3), 5, worker_rng(3, 0))
+    a, b, size = graph * n + u, graph * n + v, 5 * n
+    want = triangle_support(a, b, size)
+    assert want.tolist() == _support_oracle(a, b, size)
+    assert want.sum() > 0
+    perm = np.random.default_rng(0).permutation(len(a))
+    assert triangle_support(a[perm], b[perm], size).tolist() == want[perm].tolist()
+    assert triangle_support(b, a, size).tolist() == want.tolist()
+    assert triangle_support(b[perm], a[perm], size).tolist() == want[perm].tolist()
 
 
 def _random_edges(rng, size, density):
