@@ -21,6 +21,12 @@ kernel runs only on the complex components (more edges than vertices).
 Near the threshold p = n**(-2/delta) most samples are sparse, and most
 nonempty cores are disjoint cycles (or, after the truss prune, empty), so
 the cost follows the edges drawn rather than the C(n, 2) vertex pairs.
+
+The scan's disjoint-blocks lower bound draws no graphs of its own. A block
+of m = n // k vertices of a sampled G(n, p) induces a G(m, p) draw, and a
+copy inside it lies among the core edges the counts were read from, in a
+graph that holds a copy. The engine keeps those edges, so the blocks of all
+the scan's samples are counted from them, pair by (graph, block) pair.
 """
 
 from __future__ import annotations
@@ -223,9 +229,11 @@ def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
 
 
 def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
-                  u: np.ndarray, v: np.ndarray, budget: int) -> np.ndarray:
+                  u: np.ndarray, v: np.ndarray, budget: int):
     """Copy counts of `count` graphs on n vertices with edges (u[i], v[i])
-    in graph graph[i], sorted by graph.
+    in graph graph[i], sorted by graph, and the edges (graph, u, v), in
+    input order, of the core components that can hold a copy in the graphs
+    that hold one: every copy in any induced subgraph lies among them.
 
     Every vertex of a copy of a delta-regular pattern has degree delta in
     the copy, and every edge lies in at least t(H) = P.edge_triangles of
@@ -240,51 +248,60 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
     its complex components with at least q vertices and e(H) edges, and
     only on graphs that have one.
     """
+    out = np.zeros(count, dtype=np.int64)
     keep, a, b, size = _core_edges(graph * n + u, graph * n + v, count * n,
                                    P.delta, P.edge_triangles)
-    if not len(keep):
-        return np.zeros(count, dtype=np.int64)
     graph, u, v = graph[keep], u[keep], v[keep]
+    if not len(keep):
+        return out, graph, u, v
     comp = _components(a, b, size)
     cv = np.bincount(comp, minlength=size)
     ec = comp[a]
     ce = np.bincount(ec, minlength=size)
     ev, ee = cv[ec], ce[ec]
     # a q-cycle is one copy of C_q; in a core of degree >= 3 every e > v
-    out = np.bincount(graph[(ee == ev) & (ev == P.q)], minlength=count) // P.q
+    cycle = (ee == ev) & (ev == P.q)
+    out += np.bincount(graph[cycle], minlength=count) // P.q
     cx = (ee > ev) & (ev >= P.q) & (ee >= P.edge_count)
-    graph, u, v = graph[cx], u[cx], v[cx]
-    cut = np.flatnonzero(np.diff(graph)) + 1
-    for start, gu, gv in zip(np.r_[0, cut], np.split(u, cut), np.split(v, cut)):
+    xg, xu, xv = graph[cx], u[cx], v[cx]
+    cut = np.flatnonzero(np.diff(xg)) + 1
+    for start, gu, gv in zip(np.r_[0, cut], np.split(xu, cut), np.split(xv, cut)):
         if len(gu):
             g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
-            out[graph[start]] += count_copies(P, g, budget)
-    return out
+            out[xg[start]] += count_copies(P, g, budget)
+    held = (cycle | cx) & (out[graph] > 0)
+    return out, graph[held], u[held], v[held]
 
 
-def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int) -> np.ndarray:
-    """Copy counts of `count` G(n, p) graphs sampled as one batch.
+def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int):
+    """Copy counts of `count` G(n, p) graphs sampled as one batch, and the
+    edges (graph, u, v) among which every copy of any induced subgraph
+    lies, in the graphs that hold a copy, sorted by graph, then by (u, v).
 
     For n <= MAX_EXACT_N each graph's count is read from the exact copy
     count array at its row-major edge bitmask: the OR of bit
     u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
-    (exact in float64 up to 21 bits). Otherwise the counts come from the
-    components of the graphs' delta-cores (`_chunk_counts`).
+    (exact in float64 up to 21 bits). No edges are kept there, since no
+    block of such a graph is larger than MAX_EXACT_N. Otherwise the counts
+    and edges come from the components of the graphs' cores
+    (`_chunk_counts`).
     """
     graph, u, v = sample_gnp_batch(n, p, count, rng)
     if n <= MAX_EXACT_N:
         bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
         masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
-        return copy_count_array(P, n)[masks].astype(np.int64)
+        none = np.empty(0, dtype=np.int64)  # not a view: the chunk's arrays can go
+        return copy_count_array(P, n)[masks].astype(np.int64), none, none, none
     return _chunk_counts(P, n, count, graph, u, v, budget)
 
 
-def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
-               budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
-    """Copy counts of `samples` independent G(n, p) draws.
+def _mc_sample(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
+               budget: int = DEFAULT_MAP_BUDGET):
+    """Copy counts of `samples` independent G(n, p) draws, and the edges
+    (graph, u, v) of `_batch_counts`, with graph numbered over all draws.
 
     Worker w handles a fixed contiguous share using the stream derived from
-    (seed, w), so the counts depend only on (seed, workers). A share is
+    (seed, w), so the result depends only on (seed, workers). A share is
     sampled and counted in chunks whose size depends only on n and p.
     """
     if samples < 1:
@@ -295,15 +312,50 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
     chunk = _chunk_graphs(n, p)
     base, rem = divmod(samples, workers)
     out = np.empty(samples, dtype=np.int64)
+    held = []
     pos = 0
     for w in range(workers):
         cnt = base + (1 if w < rem else 0)
         rng = worker_rng(model.seed, w)
         for start in range(0, cnt, chunk):
             size = min(chunk, cnt - start)
-            out[pos : pos + size] = _batch_counts(P, n, p, size, rng, budget)
+            out[pos : pos + size], graph, u, v = _batch_counts(P, n, p, size, rng, budget)
+            held.append((graph + pos, u, v))
             pos += size
-    return out
+    return (out, *(np.concatenate(col) for col in zip(*held)))
+
+
+def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
+               budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
+    """Copy counts of `samples` independent G(n, p) draws (`_mc_sample`)."""
+    return _mc_sample(P, model, samples, workers, budget)[0]
+
+
+def _block_hits(P: Pattern, m: int, k: int, graph: np.ndarray, u: np.ndarray,
+                v: np.ndarray) -> int:
+    """Number of pairs (graph g, block b < k) whose subgraph induced on the
+    vertices [b*m, (b+1)*m) holds a copy, from edges (graph, u, v) sorted by
+    graph, then by u, among which every such copy lies (`_mc_sample`).
+
+    Pairs with an edge inside their block are numbered consecutively and
+    counted as graphs on m vertices, MC_CHUNK_ENTRIES // m pairs a call, so
+    the work follows the edges kept, not the samples * n vertices.
+    """
+    block = u // m
+    inside = (block == v // m) & (block < k)
+    block = block[inside]
+    ids, pair = np.unique(graph[inside] * k + block, return_inverse=True)
+    u, v = u[inside] - block * m, v[inside] - block * m
+    pairs = len(ids)
+    step = max(1, MC_CHUNK_ENTRIES // m)
+    cut = np.searchsorted(pair, np.arange(step, pairs, step))
+    hits = 0
+    for lo, gp, gu, gv in zip(range(0, pairs, step), np.split(pair, cut),
+                              np.split(u, cut), np.split(v, cut)):
+        counts = _chunk_counts(P, m, min(step, pairs - lo), gp - lo, gu, gv,
+                               DEFAULT_MAP_BUDGET)[0]
+        hits += np.count_nonzero(counts)
+    return hits
 
 
 def mc_tail(P: Pattern, model: GnpModel, k: int, samples: int,
@@ -448,14 +500,18 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
     the size permits, the rate value, and both analytic lower bounds.
 
     All rows share a single batch of samples, which is what a per-k call of
-    mc_tail with the same model would see anyway.
+    mc_tail with the same model would see anyway. The disjoint-blocks bound
+    r**k needs blocks of m = n // k >= q vertices. For m <= MAX_EXACT_N, r
+    is exact (`disjoint_lower_bound`). Otherwise r is the share of the
+    samples * k blocks [b*m, (b+1)*m) of the same samples whose induced
+    subgraph, itself a G(m, p) draw, holds a copy (`_block_hits`).
     """
     if p is None:
         p = threshold_probability(n, P.delta)
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 for k in ks):
         raise DomainError("scan thresholds must be at least 1")
-    counts = _mc_counts(P, GnpModel(n, p, seed), samples, workers)
+    counts, graph, u, v = _mc_sample(P, GnpModel(n, p, seed), samples, workers)
     exact_tab = tail_probability_table(P, n, p) if n <= MAX_EXACT_N else None
     rows = []
     for k in ks:
@@ -468,13 +524,13 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
             clq = clique_lower_bound(P, n, p, k)
         except TooFewVerticesError:
             clq = None
-        dis = None
-        if n // k >= P.q:
-            child_seed = (seed * 1_000_003 + k) % (1 << 63)
-            dis = disjoint_lower_bound(
-                P, n, p, k, samples=max(1000, samples // 10),
-                seed=child_seed, workers=workers,
-            ).value
+        dis, m = None, n // k
+        if P.q <= m <= MAX_EXACT_N:
+            dis = disjoint_lower_bound(P, n, p, k).value
+        elif m >= P.q:
+            # for k = 1 the one block is the whole graph
+            hits = succ if k == 1 else _block_hits(P, m, k, graph, u, v)
+            dis = (hits / (samples * k)) ** k
         rows.append(
             TailRow(
                 k=k, n=n, p=p,

@@ -141,12 +141,14 @@ def test_tail_formats(capsys):
 
 
 def test_scan_deterministic_csv(tmp_path):
-    args = ["scan", "--pattern", "k3", "--n", "6", "--kmax", "4",
-            "--samples", "5000", "--seed", "7", "--format", "csv"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # n = 6: exact blocks; n = 400: disjoint bounds from the scan's own sample
+    for n in ("6", "400"):
+        args = ["scan", "--pattern", "k3", "--n", n, "--kmax", "4",
+                "--samples", "5000", "--seed", "7", "--format", "csv"]
+        out1, out2 = tmp_path / f"a{n}.csv", tmp_path / f"b{n}.csv"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_verify_targets_pass(capsys):
@@ -236,6 +238,16 @@ def test_scan_below_two_vertices(n, capsys):
 def test_scan_bad_k_range_is_domain_error(kmin, kmax, capsys):
     rc = main(["scan", "--pattern", "k3", "--n", "400", "--kmin", kmin, "--kmax", kmax,
                "--samples", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_tail_nonpositive_k_is_domain_error(k, capsys):
+    # tail used to print "P(count >= -3) ~ 1"; scan already refused k < 1
+    rc = main(["tail", "--pattern", "k3", "--n", "30", "--k", k, "--samples", "10"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""

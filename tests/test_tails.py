@@ -5,6 +5,7 @@ import pytest
 from oracles import component_labels_oracle, triangle_support_oracle, truss_core_oracle
 
 from regtail import tails
+from regtail.bounds import tail_rate
 from regtail.counting import (
     DEFAULT_MAP_BUDGET,
     CopiesAtLeast,
@@ -26,11 +27,13 @@ from regtail.graphs import (
 )
 from regtail.tails import (
     CSV_HEADER,
+    _block_hits,
     _chunk_counts,
     _chunk_graphs,
     _components,
     _core_edges,
     _mc_counts,
+    _mc_sample,
     clique_lower_bound,
     crossover_k,
     disjoint_lower_bound,
@@ -84,20 +87,25 @@ def test_mc_tail_deterministic(k3):
     assert three.sum() > 0
 
 
+def _raw_samples(n, p, seed, samples):
+    """Each graph's (u, v) arrays, in the order _mc_counts draws them over
+    two workers."""
+    chunk = _chunk_graphs(n, p)  # K4 at n = 400 takes two chunks per worker
+    share = samples // 2
+    for w in range(2):
+        rng = worker_rng(seed, w)
+        for start in range(0, share, chunk):
+            graph, u, v = sample_gnp_batch(n, p, min(chunk, share - start), rng)
+            for i in range(min(chunk, share - start)):
+                yield u[graph == i], v[graph == i]
+
+
 def _replay_unpruned(P, n, p, seed):
     """_mc_counts of 80 graphs over two workers, and the kernel's counts on
     the full graphs rebuilt from the same sampled edges."""
     counts = _mc_counts(P, GnpModel(n, p, seed), 80, workers=2)
-    want = []
-    chunk = _chunk_graphs(n, p)  # K4 at n = 400 takes two chunks per worker
-    for w in range(2):
-        rng = worker_rng(seed, w)
-        for start in range(0, 40, chunk):
-            graph, u, v = sample_gnp_batch(n, p, min(chunk, 40 - start), rng)
-            for i in range(min(chunk, 40 - start)):
-                hit = graph == i
-                g = SimpleGraph(n, zip(u[hit].tolist(), v[hit].tolist()))
-                want.append(count_copies(P, g))
+    want = [count_copies(P, SimpleGraph(n, zip(u.tolist(), v.tolist())))
+            for u, v in _raw_samples(n, p, seed, 80)]
     return counts.tolist(), want
 
 
@@ -216,7 +224,7 @@ def test_chunk_counts_hand_built(name, monkeypatch):
     graphs = list(CHUNK_GRAPHS.values())
     want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)[0]
     assert got.tolist() == want
     # the kernel runs once per graph with a complex core component, on
     # those components' edges only, and never on a graph of cycles
@@ -234,7 +242,7 @@ def test_chunk_counts_truss_prune(name, monkeypatch):
     graphs = list(TRUSS_GRAPHS.values())
     want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)[0]
     assert got.tolist() == want
     kernel = TRUSS_KERNEL.get(name, TRUSS_GRAPHS)
     assert calls == [SimpleGraph(16, kernel[g]).edges for g in TRUSS_GRAPHS if g in kernel]
@@ -251,7 +259,7 @@ def test_chunk_counts_skip_small_complex_components(monkeypatch):
     graphs = [_cycle(0, 1, 2, 3) + [(0, 2)], _cycle(0, 1, 2, 3, 4),
               [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)[0]
     assert got.tolist() == [count_copies(P, SimpleGraph(12, g)) for g in graphs] == [0, 1, 2]
     assert calls == [SimpleGraph(12, graphs[2]).edges]
 
@@ -487,6 +495,95 @@ def test_disjoint_bound_mc_path(k3):
     b = disjoint_lower_bound(k3, 24, 0.3, 2, samples=4000, seed=1)
     assert not b.exact and b.block_size == 12
     assert b.ci_low <= b.value <= b.ci_high
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["k3", "c4"])
+def test_scan_at_large_n_leaves_the_main_stream(name, workers):
+    # the disjoint bound reads the scan's own sample and draws nothing, so
+    # every other column is what mc_tail and the closed forms give
+    P = named_pattern(name)
+    res = scan_phase_transition(P, 400, range(1, 7), 600, seed=8, workers=workers)
+    for row in res.rows:
+        tail = mc_tail(P, GnpModel(400, res.p, 8), row.k, 600, workers)
+        assert (row.k, row.n, row.p, row.estimate, row.ci_low, row.ci_high, row.samples) == (
+            tail.k, tail.n, tail.p, tail.estimate, tail.ci_low, tail.ci_high, tail.samples)
+        assert row.exact is None
+        assert row.L_value == (tail_rate(row.k, 400, P.q) if row.k >= 2 else 0.0)
+        assert row.clique_lb == clique_lower_bound(P, 400, res.p, row.k)
+    # k = 1: the one block is the whole graph
+    assert res.rows[0].disjoint_lb == res.rows[0].estimate > 0
+
+
+@pytest.mark.parametrize("name", ["k3", "c4"])
+def test_scan_block_probability_matches_disjoint_lower_bound(name):
+    # n = 24, k = 2: the scan's 10,000 blocks of m = 12 against 20,000
+    # fresh G(12, p) draws
+    P = named_pattern(name)
+    p = 0.15  # about half the blocks hold a copy
+    r = scan_phase_transition(P, 24, [2], 5000, p=p, seed=12).rows[0].disjoint_lb ** 0.5
+    ref = disjoint_lower_bound(P, 24, p, 2, samples=20000, seed=13)
+    assert not ref.exact and ref.block_size == 12
+    rb = ref.block_probability
+    se = math.sqrt(r * (1 - r) / 10000 + rb * (1 - rb) / 20000)
+    assert 0 < se and abs(r - rb) <= 5 * se
+
+
+def test_scan_blocks_smaller_than_the_pattern():
+    # C9 at n = 16: blocks of 8 vertices exceed the exact size but cannot
+    # hold a 9-cycle, so k = 2 has no bound, as k = 3 (blocks of 5) has none
+    c9 = make_pattern(cycle_graph(9))
+    rows = scan_phase_transition(c9, 16, [1, 2, 3], 200, p=0.12, seed=0).rows
+    assert [r.disjoint_lb is None for r in rows] == [False, True, True]
+    assert rows[0].disjoint_lb == rows[0].estimate > 0
+
+
+def _block_oracle(P, raw, m, k):
+    """Blocks [b*m, (b+1)*m), b < k, of the raw samples whose induced
+    subgraph holds a copy, by the kernel on each subgraph."""
+    hits = 0
+    for u, v in raw:
+        for b in range(k):
+            inside = (u // m == b) & (v // m == b)
+            g = SimpleGraph(m, zip((u[inside] - b * m).tolist(), (v[inside] - b * m).tolist()))
+            hits += count_copies(P, g) > 0
+    return hits
+
+
+@pytest.mark.parametrize("n,ks,samples", [(30, (1, 2, 3, 4), 80), (400, (2, 3, 6, 7), 24)])
+@pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
+def test_block_hits_match_induced_subgraphs(name, n, ks, samples, monkeypatch):
+    # every copy inside a block lies among the edges _mc_sample keeps; the
+    # vertices from k * m on are in no block (n % k != 0 for k = 4 at n = 30
+    # and k = 3, 6, 7 at n = 400)
+    P = named_pattern(name)
+    p = 2 * threshold_probability(n, P.delta)  # some block then holds a copy
+    counts, graph, u, v = _mc_sample(P, GnpModel(n, p, 5), samples, workers=2)
+    raw = list(_raw_samples(n, p, 5, samples))
+    assert graph.tolist() == sorted(graph.tolist())
+    assert set(graph.tolist()) == set(np.flatnonzero(counts).tolist())
+    got = [_block_hits(P, n // k, k, graph, u, v) for k in ks]
+    assert got == [_block_oracle(P, raw, n // k, k) for k in ks]
+    assert any(h for k, h in zip(ks, got) if k > 1)
+    # two pairs a kernel call: the split between calls loses no block
+    for k, want in zip(ks, got):
+        monkeypatch.setattr(tails, "MC_CHUNK_ENTRIES", 2 * (n // k))
+        assert _block_hits(P, n // k, k, graph, u, v) == want
+
+
+def test_block_hits_hand_built():
+    # n = 23, k = 4: blocks of m = 5 vertices, and 20, 21, 22 in none
+    graphs = [
+        _cycle(3, 4, 5),                      # straddles blocks 0 and 1
+        _cycle(20, 21, 22),                   # outside every block
+        _cycle(5, 6, 7) + _cycle(15, 16, 17) + [(7, 10), (10, 15)],  # blocks 1 and 3
+        [(a + 8, b + 8) for a, b in K4_EDGES],  # vertices 8, 9 | 10, 11
+        _diamond(0, 1, 2, 3),                 # two in block 0: one block
+    ]
+    k3 = named_pattern("k3")
+    want = _block_oracle(k3, [_chunk([g])[1:] for g in graphs], 5, 4)
+    assert _block_hits(k3, 5, 4, *_chunk(graphs)) == want == 3
+    assert _block_hits(k3, 23, 1, *_chunk(graphs)) == 5
 
 
 def test_crossover():
