@@ -270,8 +270,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_tail(args) -> int:
     pattern = _load_pattern(args.pattern)
-    if args.k < 1:
-        raise DomainError(f"tail threshold k must be at least 1, got {args.k}")
     p = _default_p(args, pattern)
     row = mc_tail(pattern, GnpModel(args.n, p, args.seed), args.k,
                   args.samples, args.workers)

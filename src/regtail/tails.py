@@ -25,8 +25,8 @@ the cost follows the edges drawn rather than the C(n, 2) vertex pairs.
 The scan's disjoint-blocks lower bound draws no graphs of its own. A block
 of m = n // k vertices of a sampled G(n, p) induces a G(m, p) draw, and a
 copy inside it lies among the core edges the counts were read from, in a
-graph that holds a copy. The engine keeps those edges, so the blocks of all
-the scan's samples are counted from them, pair by (graph, block) pair.
+graph that holds a copy. Those edges are held for a chunk or two of such
+graphs at a time, and their (graph, block) pairs counted from them.
 """
 
 from __future__ import annotations
@@ -229,11 +229,10 @@ def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
 
 
 def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
-                  u: np.ndarray, v: np.ndarray, budget: int):
+                  u: np.ndarray, v: np.ndarray, budget: int,
+                  blocks: _BlockHits | None = None) -> np.ndarray:
     """Copy counts of `count` graphs on n vertices with edges (u[i], v[i])
-    in graph graph[i], sorted by graph, and the edges (graph, u, v), in
-    input order, of the core components that can hold a copy in the graphs
-    that hold one: every copy in any induced subgraph lies among them.
+    in graph graph[i], sorted by graph, then by (u, v).
 
     Every vertex of a copy of a delta-regular pattern has degree delta in
     the copy, and every edge lies in at least t(H) = P.edge_triangles of
@@ -247,13 +246,16 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
     otherwise, or complex (e > v). The copy kernel runs once per graph, on
     its complex components with at least q vertices and e(H) edges, and
     only on graphs that have one.
+
+    `blocks`, when given, gets the edges of the components that can hold a
+    copy, in the graphs that hold one: every copy in an induced subgraph of
+    a graph lies among them.
     """
-    out = np.zeros(count, dtype=np.int64)
     keep, a, b, size = _core_edges(graph * n + u, graph * n + v, count * n,
                                    P.delta, P.edge_triangles)
-    graph, u, v = graph[keep], u[keep], v[keep]
     if not len(keep):
-        return out, graph, u, v
+        return np.zeros(count, dtype=np.int64)
+    graph, u, v = graph[keep], u[keep], v[keep]
     comp = _components(a, b, size)
     cv = np.bincount(comp, minlength=size)
     ec = comp[a]
@@ -261,7 +263,7 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
     ev, ee = cv[ec], ce[ec]
     # a q-cycle is one copy of C_q; in a core of degree >= 3 every e > v
     cycle = (ee == ev) & (ev == P.q)
-    out += np.bincount(graph[cycle], minlength=count) // P.q
+    out = np.bincount(graph[cycle], minlength=count) // P.q
     cx = (ee > ev) & (ev >= P.q) & (ee >= P.edge_count)
     xg, xu, xv = graph[cx], u[cx], v[cx]
     cut = np.flatnonzero(np.diff(xg)) + 1
@@ -269,39 +271,95 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
         if len(gu):
             g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
             out[xg[start]] += count_copies(P, g, budget)
-    held = (cycle | cx) & (out[graph] > 0)
-    return out, graph[held], u[held], v[held]
+    if blocks is not None:
+        held = (cycle | cx) & (out[graph] > 0)
+        blocks.add(graph[held], u[held], v[held])
+    return out
 
 
-def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int):
-    """Copy counts of `count` G(n, p) graphs sampled as one batch, and the
-    edges (graph, u, v) among which every copy of any induced subgraph
-    lies, in the graphs that hold a copy, sorted by graph, then by (u, v).
+def _block_hits(P: Pattern, m: int, k: int, graph: np.ndarray, u: np.ndarray,
+                v: np.ndarray) -> int:
+    """Number of pairs (graph g, block b < k) whose subgraph induced on the
+    vertices [b*m, (b+1)*m) holds a copy, from edges (graph, u, v) sorted by
+    graph, then by (u, v), among which every such copy lies.
+
+    The pairs with an edge inside their block are numbered consecutively and
+    counted as graphs on m vertices, so the work follows the edges given.
+    """
+    block = u // m
+    inside = (block == v // m) & (block < k)
+    if not inside.any():
+        return 0
+    block = block[inside]
+    ids, pair = np.unique(graph[inside] * k + block, return_inverse=True)
+    u, v = u[inside] - block * m, v[inside] - block * m
+    return int(np.count_nonzero(_chunk_counts(P, m, len(ids), pair, u, v,
+                                              DEFAULT_MAP_BUDGET)))
+
+
+class _BlockHits:
+    """hits[k], for each block count k: the number of pairs (graph, block
+    b < k) of sampled G(n, p) graphs whose subgraph induced on the vertices
+    [b*m, (b+1)*m), m = n // k, holds a copy.
+
+    `_chunk_counts` adds the core edges of its graphs that hold a copy,
+    among which every such copy lies. They are held until `graphs` graphs
+    are, then counted for every k (`_block_hits`): memory stays within
+    about two chunks of graphs, and near the threshold, where few graphs
+    hold a copy, one count serves several chunks.
+    """
+
+    def __init__(self, P: Pattern, n: int, ks, graphs: int):
+        self.P, self.n, self.graphs = P, n, graphs
+        self.hits = dict.fromkeys(ks, 0)
+        self.held, self.count = [], 0
+
+    def add(self, graph: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        """One chunk's edges (graph, u, v), sorted by graph, then by (u, v)."""
+        if len(graph):
+            ids, graph = np.unique(graph, return_inverse=True)
+            self.held.append((graph + self.count, u, v))
+            self.count += len(ids)
+            if self.count >= self.graphs:
+                self.flush()
+
+    def flush(self) -> None:
+        """Count the blocks of the held graphs into hits, and drop them."""
+        if self.held:
+            graph, u, v = (np.concatenate(col) for col in zip(*self.held))
+            for k in self.hits:
+                self.hits[k] += _block_hits(self.P, self.n // k, k, graph, u, v)
+            self.held, self.count = [], 0
+
+
+def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int,
+                  blocks: _BlockHits | None = None) -> np.ndarray:
+    """Copy counts of `count` G(n, p) graphs sampled as one batch, with
+    their core edges added to `blocks` as in `_chunk_counts`.
 
     For n <= MAX_EXACT_N each graph's count is read from the exact copy
     count array at its row-major edge bitmask: the OR of bit
     u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
-    (exact in float64 up to 21 bits). No edges are kept there, since no
-    block of such a graph is larger than MAX_EXACT_N. Otherwise the counts
-    and edges come from the components of the graphs' cores
-    (`_chunk_counts`).
+    (exact in float64 up to 21 bits); `blocks` is None there, as its
+    blocks have more than MAX_EXACT_N vertices. Otherwise the counts come
+    from the components of the graphs' cores (`_chunk_counts`).
     """
     graph, u, v = sample_gnp_batch(n, p, count, rng)
     if n <= MAX_EXACT_N:
         bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
         masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
-        none = np.empty(0, dtype=np.int64)  # not a view: the chunk's arrays can go
-        return copy_count_array(P, n)[masks].astype(np.int64), none, none, none
-    return _chunk_counts(P, n, count, graph, u, v, budget)
+        return copy_count_array(P, n)[masks].astype(np.int64)
+    return _chunk_counts(P, n, count, graph, u, v, budget, blocks)
 
 
-def _mc_sample(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
-               budget: int = DEFAULT_MAP_BUDGET):
-    """Copy counts of `samples` independent G(n, p) draws, and the edges
-    (graph, u, v) of `_batch_counts`, with graph numbered over all draws.
+def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
+               budget: int = DEFAULT_MAP_BUDGET,
+               blocks: _BlockHits | None = None) -> np.ndarray:
+    """Copy counts of `samples` independent G(n, p) draws; when `blocks`
+    is given, its hits count the blocks of all the draws on return.
 
     Worker w handles a fixed contiguous share using the stream derived from
-    (seed, w), so the result depends only on (seed, workers). A share is
+    (seed, w), so the counts depend only on (seed, workers). A share is
     sampled and counted in chunks whose size depends only on n and p.
     """
     if samples < 1:
@@ -312,55 +370,24 @@ def _mc_sample(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
     chunk = _chunk_graphs(n, p)
     base, rem = divmod(samples, workers)
     out = np.empty(samples, dtype=np.int64)
-    held = []
     pos = 0
     for w in range(workers):
         cnt = base + (1 if w < rem else 0)
         rng = worker_rng(model.seed, w)
         for start in range(0, cnt, chunk):
             size = min(chunk, cnt - start)
-            out[pos : pos + size], graph, u, v = _batch_counts(P, n, p, size, rng, budget)
-            held.append((graph + pos, u, v))
+            out[pos : pos + size] = _batch_counts(P, n, p, size, rng, budget, blocks)
             pos += size
-    return (out, *(np.concatenate(col) for col in zip(*held)))
-
-
-def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
-               budget: int = DEFAULT_MAP_BUDGET) -> np.ndarray:
-    """Copy counts of `samples` independent G(n, p) draws (`_mc_sample`)."""
-    return _mc_sample(P, model, samples, workers, budget)[0]
-
-
-def _block_hits(P: Pattern, m: int, k: int, graph: np.ndarray, u: np.ndarray,
-                v: np.ndarray) -> int:
-    """Number of pairs (graph g, block b < k) whose subgraph induced on the
-    vertices [b*m, (b+1)*m) holds a copy, from edges (graph, u, v) sorted by
-    graph, then by u, among which every such copy lies (`_mc_sample`).
-
-    Pairs with an edge inside their block are numbered consecutively and
-    counted as graphs on m vertices, MC_CHUNK_ENTRIES // m pairs a call, so
-    the work follows the edges kept, not the samples * n vertices.
-    """
-    block = u // m
-    inside = (block == v // m) & (block < k)
-    block = block[inside]
-    ids, pair = np.unique(graph[inside] * k + block, return_inverse=True)
-    u, v = u[inside] - block * m, v[inside] - block * m
-    pairs = len(ids)
-    step = max(1, MC_CHUNK_ENTRIES // m)
-    cut = np.searchsorted(pair, np.arange(step, pairs, step))
-    hits = 0
-    for lo, gp, gu, gv in zip(range(0, pairs, step), np.split(pair, cut),
-                              np.split(u, cut), np.split(v, cut)):
-        counts = _chunk_counts(P, m, min(step, pairs - lo), gp - lo, gu, gv,
-                               DEFAULT_MAP_BUDGET)[0]
-        hits += np.count_nonzero(counts)
-    return hits
+    if blocks is not None:
+        blocks.flush()
+    return out
 
 
 def mc_tail(P: Pattern, model: GnpModel, k: int, samples: int,
             workers: int = 1) -> TailRow:
     """Monte Carlo estimate of P(copy count >= k) with a 95% Wilson interval."""
+    if k < 1:
+        raise DomainError(f"tail threshold k must be at least 1, got {k}")
     counts = _mc_counts(P, model, samples, workers)
     succ = int((counts >= k).sum())
     lo, hi = wilson_interval(succ, samples)
@@ -511,7 +538,10 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 for k in ks):
         raise DomainError("scan thresholds must be at least 1")
-    counts, graph, u, v = _mc_sample(P, GnpModel(n, p, seed), samples, workers)
+    # blocks too large for the exact path: counted in the scan's own draws
+    big = [k for k in ks if k > 1 and n // k >= max(P.q, MAX_EXACT_N + 1)]
+    blocks = _BlockHits(P, n, big, _chunk_graphs(n, p)) if big else None
+    counts = _mc_counts(P, GnpModel(n, p, seed), samples, workers, blocks=blocks)
     exact_tab = tail_probability_table(P, n, p) if n <= MAX_EXACT_N else None
     rows = []
     for k in ks:
@@ -529,8 +559,7 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
             dis = disjoint_lower_bound(P, n, p, k).value
         elif m >= P.q:
             # for k = 1 the one block is the whole graph
-            hits = succ if k == 1 else _block_hits(P, m, k, graph, u, v)
-            dis = (hits / (samples * k)) ** k
+            dis = ((succ if k == 1 else blocks.hits[k]) / (samples * k)) ** k
         rows.append(
             TailRow(
                 k=k, n=n, p=p,

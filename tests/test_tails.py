@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,12 +29,12 @@ from regtail.graphs import (
 from regtail.tails import (
     CSV_HEADER,
     _block_hits,
+    _BlockHits,
     _chunk_counts,
     _chunk_graphs,
     _components,
     _core_edges,
     _mc_counts,
-    _mc_sample,
     clique_lower_bound,
     crossover_k,
     disjoint_lower_bound,
@@ -62,8 +63,11 @@ def test_wilson_interval():
 
 def test_mc_tail_trivial(k3):
     model = GnpModel(6, 1 / 6, seed=1)
-    assert mc_tail(k3, model, 0, 200).estimate == 1.0
+    assert mc_tail(k3, model, 1, 200).estimate > 0.0
     assert mc_tail(k3, model, 10**9, 200).estimate == 0.0
+    for k in (0, -3):  # as in scan_phase_transition
+        with pytest.raises(DomainError):
+            mc_tail(k3, model, k, 200)
 
 
 def test_mc_tail_matches_exact(k3):
@@ -224,7 +228,7 @@ def test_chunk_counts_hand_built(name, monkeypatch):
     graphs = list(CHUNK_GRAPHS.values())
     want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)[0]
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
     assert got.tolist() == want
     # the kernel runs once per graph with a complex core component, on
     # those components' edges only, and never on a graph of cycles
@@ -242,7 +246,7 @@ def test_chunk_counts_truss_prune(name, monkeypatch):
     graphs = list(TRUSS_GRAPHS.values())
     want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)[0]
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
     assert got.tolist() == want
     kernel = TRUSS_KERNEL.get(name, TRUSS_GRAPHS)
     assert calls == [SimpleGraph(16, kernel[g]).edges for g in TRUSS_GRAPHS if g in kernel]
@@ -259,7 +263,7 @@ def test_chunk_counts_skip_small_complex_components(monkeypatch):
     graphs = [_cycle(0, 1, 2, 3) + [(0, 2)], _cycle(0, 1, 2, 3, 4),
               [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)[0]
+    got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)
     assert got.tolist() == [count_copies(P, SimpleGraph(12, g)) for g in graphs] == [0, 1, 2]
     assert calls == [SimpleGraph(12, graphs[2]).edges]
 
@@ -511,6 +515,7 @@ def test_scan_at_large_n_leaves_the_main_stream(name, workers):
         assert row.exact is None
         assert row.L_value == (tail_rate(row.k, 400, P.q) if row.k >= 2 else 0.0)
         assert row.clique_lb == clique_lower_bound(P, 400, res.p, row.k)
+        assert type(row.disjoint_lb) is float  # a numpy scalar's repr is no CSV cell
     # k = 1: the one block is the whole graph
     assert res.rows[0].disjoint_lb == res.rows[0].estimate > 0
 
@@ -550,25 +555,25 @@ def _block_oracle(P, raw, m, k):
     return hits
 
 
+@pytest.mark.parametrize("entries,held", [(tails.MC_CHUNK_ENTRIES, 10**6), (1, 3)])
 @pytest.mark.parametrize("n,ks,samples", [(30, (1, 2, 3, 4), 80), (400, (2, 3, 6, 7), 24)])
 @pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
-def test_block_hits_match_induced_subgraphs(name, n, ks, samples, monkeypatch):
-    # every copy inside a block lies among the edges _mc_sample keeps; the
-    # vertices from k * m on are in no block (n % k != 0 for k = 4 at n = 30
-    # and k = 3, 6, 7 at n = 400)
+def test_block_hits_match_induced_subgraphs(name, n, ks, samples, entries, held, monkeypatch):
+    # every copy inside a block lies among the edges each chunk hands over;
+    # the vertices from k * m on are in no block (n % k != 0 for k = 4 at
+    # n = 30 and k = 3, 6, 7 at n = 400). All edges are counted at the end,
+    # or, with one graph a chunk, about every third graph that holds a copy
+    monkeypatch.setattr(tails, "MC_CHUNK_ENTRIES", entries)
     P = named_pattern(name)
     p = 2 * threshold_probability(n, P.delta)  # some block then holds a copy
-    counts, graph, u, v = _mc_sample(P, GnpModel(n, p, 5), samples, workers=2)
+    blocks = _BlockHits(P, n, ks, held)
+    counts = _mc_counts(P, GnpModel(n, p, 5), samples, workers=2, blocks=blocks)
     raw = list(_raw_samples(n, p, 5, samples))
-    assert graph.tolist() == sorted(graph.tolist())
-    assert set(graph.tolist()) == set(np.flatnonzero(counts).tolist())
-    got = [_block_hits(P, n // k, k, graph, u, v) for k in ks]
-    assert got == [_block_oracle(P, raw, n // k, k) for k in ks]
-    assert any(h for k, h in zip(ks, got) if k > 1)
-    # two pairs a kernel call: the split between calls loses no block
-    for k, want in zip(ks, got):
-        monkeypatch.setattr(tails, "MC_CHUNK_ENTRIES", 2 * (n // k))
-        assert _block_hits(P, n // k, k, graph, u, v) == want
+    assert blocks.hits == {k: _block_oracle(P, raw, n // k, k) for k in ks}
+    assert any(h for k, h in blocks.hits.items() if k > 1)
+    if 1 in ks:
+        assert blocks.hits[1] == np.count_nonzero(counts)
+    assert blocks.held == [] and blocks.count == 0
 
 
 def test_block_hits_hand_built():
@@ -579,11 +584,38 @@ def test_block_hits_hand_built():
         _cycle(5, 6, 7) + _cycle(15, 16, 17) + [(7, 10), (10, 15)],  # blocks 1 and 3
         [(a + 8, b + 8) for a, b in K4_EDGES],  # vertices 8, 9 | 10, 11
         _diamond(0, 1, 2, 3),                 # two in block 0: one block
+        _cycle(0, 1, 2, 3),                   # a 4-cycle in block 0 holds no triangle
     ]
     k3 = named_pattern("k3")
     want = _block_oracle(k3, [_chunk([g])[1:] for g in graphs], 5, 4)
     assert _block_hits(k3, 5, 4, *_chunk(graphs)) == want == 3
-    assert _block_hits(k3, 23, 1, *_chunk(graphs)) == 5
+    # the same graphs as two chunks, the first counted on its own
+    blocks = _BlockHits(k3, 23, [4, 1], 3)
+    for part in (graphs[:4], graphs[4:]):
+        counts = _chunk_counts(k3, 23, len(part), *_chunk(part), DEFAULT_MAP_BUDGET, blocks)
+        assert counts.tolist() == [count_copies(k3, SimpleGraph(23, g)) for g in part]
+    assert blocks.hits == {4: 2, 1: 4} and blocks.count == 1
+    blocks.flush()
+    assert blocks.hits == {4: 3, 1: 5} and blocks.count == 0
+
+
+def _scan_peak(samples):
+    """tracemalloc's peak over a K3 scan at n = 30 and p = 0.2, about 70
+    kept edges a graph, sampled 11 graphs a chunk."""
+    tracemalloc.start()
+    try:
+        scan_phase_transition(named_pattern("k3"), 30, [1, 2, 3], samples, p=0.2, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_stays_within_a_chunk(monkeypatch):
+    # the blocks are counted a chunk or two at a time, so four times the
+    # draws cost no more memory; holding every chunk's kept edges to the
+    # end would take about 2 KB a draw, 3x the peak at 400 draws
+    monkeypatch.setattr(tails, "MC_CHUNK_ENTRIES", 1024)
+    assert _scan_peak(400) < 1.5 * _scan_peak(100)
 
 
 def test_crossover():
