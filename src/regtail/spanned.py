@@ -166,13 +166,11 @@ def minimal_spanning_count(
 @dataclass(frozen=True)
 class SpanningExcessReport:
     """Spanning excess f = (2/delta)*e(S) - v(S) with the proven lower bound
-    (l_star - 1)/delta; loose_lower is the weaker e(S)/(2*delta*q**2) rate
-    reported for reference."""
+    (l_star - 1)/delta."""
 
     f: float
     l_star: int
     lower: float
-    loose_lower: float
 
 
 def spanning_excess_report(
@@ -187,8 +185,7 @@ def spanning_excess_report(
     v = len(S.support())
     f = 2.0 * S.m / P.delta - v
     lower = (l_star - 1) / P.delta
-    loose = S.m / (2.0 * P.delta * P.q**2)
-    return SpanningExcessReport(f=f, l_star=l_star, lower=lower, loose_lower=loose)
+    return SpanningExcessReport(f=f, l_star=l_star, lower=lower)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bounds import tail_rate
 from .counting import (
-    DEFAULT_MAP_BUDGET,
     MAX_EXACT_N,
     CopiesAtLeast,
     copy_count_array,
@@ -229,7 +228,7 @@ def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
 
 
 def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
-                  u: np.ndarray, v: np.ndarray, budget: int,
+                  u: np.ndarray, v: np.ndarray,
                   blocks: _BlockHits | None = None) -> np.ndarray:
     """Copy counts of `count` graphs on n vertices with edges (u[i], v[i])
     in graph graph[i], sorted by graph, then by (u, v).
@@ -270,7 +269,7 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
     for start, gu, gv in zip(np.r_[0, cut], np.split(xu, cut), np.split(xv, cut)):
         if len(gu):
             g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
-            out[xg[start]] += count_copies(P, g, budget)
+            out[xg[start]] += count_copies(P, g)
     if blocks is not None:
         held = (cycle | cx) & (out[graph] > 0)
         blocks.add(graph[held], u[held], v[held])
@@ -293,8 +292,7 @@ def _block_hits(P: Pattern, m: int, k: int, graph: np.ndarray, u: np.ndarray,
     block = block[inside]
     ids, pair = np.unique(graph[inside] * k + block, return_inverse=True)
     u, v = u[inside] - block * m, v[inside] - block * m
-    return int(np.count_nonzero(_chunk_counts(P, m, len(ids), pair, u, v,
-                                              DEFAULT_MAP_BUDGET)))
+    return int(np.count_nonzero(_chunk_counts(P, m, len(ids), pair, u, v)))
 
 
 class _BlockHits:
@@ -332,7 +330,7 @@ class _BlockHits:
             self.held, self.count = [], 0
 
 
-def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int,
+def _batch_counts(P: Pattern, n: int, p: float, count: int, rng,
                   blocks: _BlockHits | None = None) -> np.ndarray:
     """Copy counts of `count` G(n, p) graphs sampled as one batch, with
     their core edges added to `blocks` as in `_chunk_counts`.
@@ -349,11 +347,10 @@ def _batch_counts(P: Pattern, n: int, p: float, count: int, rng, budget: int,
         bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
         masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
         return copy_count_array(P, n)[masks].astype(np.int64)
-    return _chunk_counts(P, n, count, graph, u, v, budget, blocks)
+    return _chunk_counts(P, n, count, graph, u, v, blocks)
 
 
 def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
-               budget: int = DEFAULT_MAP_BUDGET,
                blocks: _BlockHits | None = None) -> np.ndarray:
     """Copy counts of `samples` independent G(n, p) draws; when `blocks`
     is given, its hits count the blocks of all the draws on return.
@@ -361,6 +358,7 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
     Worker w handles a fixed contiguous share using the stream derived from
     (seed, w), so the counts depend only on (seed, workers). A share is
     sampled and counted in chunks whose size depends only on n and p.
+    Workers past the samples-th have an empty share and are skipped.
     """
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
@@ -371,16 +369,27 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
     base, rem = divmod(samples, workers)
     out = np.empty(samples, dtype=np.int64)
     pos = 0
-    for w in range(workers):
+    for w in range(min(workers, samples)):
         cnt = base + (1 if w < rem else 0)
         rng = worker_rng(model.seed, w)
         for start in range(0, cnt, chunk):
             size = min(chunk, cnt - start)
-            out[pos : pos + size] = _batch_counts(P, n, p, size, rng, budget, blocks)
+            out[pos : pos + size] = _batch_counts(P, n, p, size, rng, blocks)
             pos += size
     if blocks is not None:
         blocks.flush()
     return out
+
+
+def _tail_row(counts: np.ndarray, k: int, n: int, p: float, **bounds) -> TailRow:
+    """The TailRow of threshold k over sampled copy counts: the share with
+    at least k copies and its 95% Wilson interval; `bounds` fill the
+    optional columns."""
+    samples = len(counts)
+    succ = int((counts >= k).sum())
+    lo, hi = wilson_interval(succ, samples)
+    return TailRow(k=k, n=n, p=p, estimate=succ / samples, ci_low=lo, ci_high=hi,
+                   samples=samples, **bounds)
 
 
 def mc_tail(P: Pattern, model: GnpModel, k: int, samples: int,
@@ -388,18 +397,7 @@ def mc_tail(P: Pattern, model: GnpModel, k: int, samples: int,
     """Monte Carlo estimate of P(copy count >= k) with a 95% Wilson interval."""
     if k < 1:
         raise DomainError(f"tail threshold k must be at least 1, got {k}")
-    counts = _mc_counts(P, model, samples, workers)
-    succ = int((counts >= k).sum())
-    lo, hi = wilson_interval(succ, samples)
-    return TailRow(
-        k=k,
-        n=model.n,
-        p=model.p,
-        estimate=succ / samples,
-        ci_low=lo,
-        ci_high=hi,
-        samples=samples,
-    )
+    return _tail_row(_mc_counts(P, model, samples, workers), k, model.n, model.p)
 
 
 @dataclass(frozen=True)
@@ -447,47 +445,16 @@ def clique_lower_bound(P: Pattern, n: int, p: float, k: int) -> float:
     return p ** (s * (s - 1) // 2)
 
 
-@dataclass(frozen=True)
-class DisjointBound:
-    """Lower bound r**s for s disjoint copies from per-block occupancy r."""
-
-    value: float
-    ci_low: float
-    ci_high: float
-    block_size: int
-    block_probability: float
-    exact: bool
-
-
-def disjoint_lower_bound(P: Pattern, n: int, p: float, s: int,
-                         samples: int = 10_000, seed: int = 0,
-                         workers: int = 1) -> DisjointBound:
-    """Estimate P(at least one copy in G(n//s, p))**s, a valid lower bound
-    on having s vertex-disjoint copies (blocks are disjoint and independent).
-
-    The block probability is exact when the block fits the exact oracle,
-    otherwise Monte Carlo with the interval propagated through r**s.
-    """
+def disjoint_lower_bound(P: Pattern, n: int, p: float, s: int) -> float:
+    """P(at least one copy in G(n//s, p))**s, exactly: a lower bound on
+    having s vertex-disjoint copies (blocks are disjoint and independent).
+    Blocks above MAX_EXACT_N vertices raise TooLargeError."""
     if s < 1:
         raise DomainError(f"s must be positive, got {s}")
     m = n // s
     if m < P.q:
         raise BlockTooSmallError(f"blocks of size {m} cannot hold a {P.q}-vertex copy")
-    if m <= MAX_EXACT_N:
-        r = exact_probability(GnpModel(m, p), CopiesAtLeast(P, 1))
-        return DisjointBound(
-            value=r**s, ci_low=r**s, ci_high=r**s,
-            block_size=m, block_probability=r, exact=True,
-        )
-    row = mc_tail(P, GnpModel(m, p, seed), 1, samples, workers)
-    return DisjointBound(
-        value=row.estimate**s,
-        ci_low=row.ci_low**s,
-        ci_high=row.ci_high**s,
-        block_size=m,
-        block_probability=row.estimate,
-        exact=False,
-    )
+    return exact_probability(GnpModel(m, p), CopiesAtLeast(P, 1)) ** s
 
 
 def crossover_k(q: int, log_n: float) -> int:
@@ -545,8 +512,6 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
     exact_tab = tail_probability_table(P, n, p) if n <= MAX_EXACT_N else None
     rows = []
     for k in ks:
-        succ = int((counts >= k).sum())
-        lo, hi = wilson_interval(succ, samples)
         exact = None
         if exact_tab is not None:
             exact = float(exact_tab[k]) if k < len(exact_tab) else 0.0
@@ -556,19 +521,14 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
             clq = None
         dis, m = None, n // k
         if P.q <= m <= MAX_EXACT_N:
-            dis = disjoint_lower_bound(P, n, p, k).value
+            dis = disjoint_lower_bound(P, n, p, k)
         elif m >= P.q:
             # for k = 1 the one block is the whole graph
-            dis = ((succ if k == 1 else blocks.hits[k]) / (samples * k)) ** k
-        rows.append(
-            TailRow(
-                k=k, n=n, p=p,
-                estimate=succ / samples, ci_low=lo, ci_high=hi,
-                samples=samples, exact=exact,
-                L_value=tail_rate(k, n, P.q) if k >= 2 else 0.0,
-                clique_lb=clq, disjoint_lb=dis,
-            )
-        )
+            hits = int(np.count_nonzero(counts)) if k == 1 else blocks.hits[k]
+            dis = (hits / (samples * k)) ** k
+        rows.append(_tail_row(counts, k, n, p, exact=exact,
+                              L_value=tail_rate(k, n, P.q) if k >= 2 else 0.0,
+                              clique_lb=clq, disjoint_lb=dis))
     return ScanResult(rows=tuple(rows), crossover=crossover_k(P.q, math.log(n)), p=p)
 
 
@@ -576,40 +536,21 @@ def _cell(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # a numpy scalar's own repr is np.float64(...)
     return str(x)
 
 
 def rows_to_csv(rows) -> str:
     """Fixed-schema CSV; float cells use shortest round-trip formatting so
     identical runs serialize byte-identically."""
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.k, r.n, r.p, r.estimate, r.ci_low, r.ci_high,
-                    r.exact, r.L_value, r.clique_lb, r.disjoint_lb, r.samples,
-                )
-            )
-        )
+    lines += [",".join(_cell(getattr(r, c)) for c in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows, crossover: int | None = None) -> str:
-    payload = {
-        "rows": [
-            {
-                "k": r.k, "n": r.n, "p": r.p,
-                "estimate": r.estimate, "ci_low": r.ci_low, "ci_high": r.ci_high,
-                "exact": r.exact, "L_value": r.L_value,
-                "clique_lb": r.clique_lb, "disjoint_lb": r.disjoint_lb,
-                "samples": r.samples,
-            }
-            for r in rows
-        ]
-    }
+    payload = {"rows": [asdict(r) for r in rows]}
     if crossover is not None:
         payload["crossover"] = crossover
     return json.dumps(payload, indent=2, sort_keys=True)

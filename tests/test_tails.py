@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,13 +10,12 @@ from oracles import component_labels_oracle, triangle_support_oracle, truss_core
 from regtail import tails
 from regtail.bounds import tail_rate
 from regtail.counting import (
-    DEFAULT_MAP_BUDGET,
     CopiesAtLeast,
     count_copies,
     exact_probability,
     tail_probability_table,
 )
-from regtail.errors import BlockTooSmallError, DomainError, TooFewVerticesError
+from regtail.errors import BlockTooSmallError, DomainError, TooFewVerticesError, TooLargeError
 from regtail.graphs import (
     GnpModel,
     SimpleGraph,
@@ -28,6 +29,7 @@ from regtail.graphs import (
 )
 from regtail.tails import (
     CSV_HEADER,
+    TailRow,
     _block_hits,
     _BlockHits,
     _chunk_counts,
@@ -214,9 +216,9 @@ def _kernel_calls(monkeypatch):
     """The edges of each graph the copy kernel is called on in tails."""
     calls = []
 
-    def counting(P, g, budget):
+    def counting(P, g):
         calls.append(g.edges)
-        return count_copies(P, g, budget)
+        return count_copies(P, g)
 
     monkeypatch.setattr(tails, "count_copies", counting)
     return calls
@@ -228,7 +230,7 @@ def test_chunk_counts_hand_built(name, monkeypatch):
     graphs = list(CHUNK_GRAPHS.values())
     want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs))
     assert got.tolist() == want
     # the kernel runs once per graph with a complex core component, on
     # those components' edges only, and never on a graph of cycles
@@ -246,7 +248,7 @@ def test_chunk_counts_truss_prune(name, monkeypatch):
     graphs = list(TRUSS_GRAPHS.values())
     want = [count_copies(P, SimpleGraph(16, edges)) for edges in graphs]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    got = _chunk_counts(P, 16, len(graphs), *_chunk(graphs))
     assert got.tolist() == want
     kernel = TRUSS_KERNEL.get(name, TRUSS_GRAPHS)
     assert calls == [SimpleGraph(16, kernel[g]).edges for g in TRUSS_GRAPHS if g in kernel]
@@ -263,7 +265,7 @@ def test_chunk_counts_skip_small_complex_components(monkeypatch):
     graphs = [_cycle(0, 1, 2, 3) + [(0, 2)], _cycle(0, 1, 2, 3, 4),
               [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)]]
     calls = _kernel_calls(monkeypatch)
-    got = _chunk_counts(P, 12, 3, *_chunk(graphs), DEFAULT_MAP_BUDGET)
+    got = _chunk_counts(P, 12, 3, *_chunk(graphs))
     assert got.tolist() == [count_copies(P, SimpleGraph(12, g)) for g in graphs] == [0, 1, 2]
     assert calls == [SimpleGraph(12, graphs[2]).edges]
 
@@ -278,8 +280,8 @@ def _assert_keeps_truss_core(P, n, graph, u, v, monkeypatch):
         return kept[-1]
 
     monkeypatch.setattr(tails, "_core_edges", recording)
-    monkeypatch.setattr(tails, "count_copies", lambda P, g, budget: 0)
-    _chunk_counts(P, n, int(graph.max(initial=0)) + 1, graph, u, v, DEFAULT_MAP_BUDGET)
+    monkeypatch.setattr(tails, "count_copies", lambda P, g: 0)
+    _chunk_counts(P, n, int(graph.max(initial=0)) + 1, graph, u, v)
     ((keep, *_),) = kept
     edges = [((g, x), (g, y)) for g, x, y in zip(graph.tolist(), u.tolist(), v.tolist())]
     assert {edges[i] for i in keep.tolist()} == truss_core_oracle(edges, P.delta, P.edge_triangles)
@@ -436,6 +438,22 @@ def test_mc_counts_at_p_zero_and_one(name, n):
     assert _mc_counts(P, GnpModel(n, 1.0, 3), 50, workers=2).tolist() == [full] * 50
 
 
+def test_mc_counts_skip_empty_worker_shares(k3, monkeypatch):
+    # with more workers than samples the workers past the last sample have
+    # empty shares: they open no stream, and the counts are unchanged
+    model = GnpModel(30, 0.1, 1)
+    want = _mc_counts(k3, model, 3, workers=3)
+    streams = []
+
+    def counted(seed, w):
+        streams.append(w)
+        return worker_rng(seed, w)
+
+    monkeypatch.setattr(tails, "worker_rng", counted)
+    assert np.array_equal(_mc_counts(k3, model, 3, workers=10**5), want)
+    assert want.any() and len(streams) <= 3
+
+
 def test_mc_counts_below_pattern_size(k4):
     assert not _mc_counts(k4, GnpModel(3, 0.9, 0), 200).any()
 
@@ -476,13 +494,10 @@ def test_clique_bound_below_exact(k3):
 
 
 def test_disjoint_lower_bound(k3):
-    b = disjoint_lower_bound(k3, 12, 0.3, 2)
-    assert b.exact and b.block_size == 6
-    assert b.value == pytest.approx(b.block_probability**2)
-    one = disjoint_lower_bound(k3, 12, 0.3, 1)
-    assert one.value == pytest.approx(one.block_probability)
-    near_one = disjoint_lower_bound(k3, 14, 1 - 1e-12, 2)
-    assert near_one.value == pytest.approx(1.0)
+    r = exact_probability(GnpModel(6, 0.3), CopiesAtLeast(k3, 1))
+    assert disjoint_lower_bound(k3, 12, 0.3, 2) == r**2
+    assert disjoint_lower_bound(k3, 6, 0.3, 1) == r  # one block: the whole graph
+    assert disjoint_lower_bound(k3, 14, 1 - 1e-12, 2) == pytest.approx(1.0)
     with pytest.raises(BlockTooSmallError):
         disjoint_lower_bound(k3, 5, 0.3, 2)
 
@@ -492,13 +507,13 @@ def test_disjoint_bound_vs_mc(k3):
     p = 0.3
     b = disjoint_lower_bound(k3, 12, p, 2)
     row = mc_tail(k3, GnpModel(12, p, seed=3), 2, 30_000)
-    assert b.value <= row.ci_high
+    assert b <= row.ci_high
 
 
-def test_disjoint_bound_mc_path(k3):
-    b = disjoint_lower_bound(k3, 24, 0.3, 2, samples=4000, seed=1)
-    assert not b.exact and b.block_size == 12
-    assert b.ci_low <= b.value <= b.ci_high
+def test_disjoint_bound_refuses_blocks_above_exact_size(k3):
+    # blocks of 12 vertices: a scan counts them in its own draws instead
+    with pytest.raises(TooLargeError):
+        disjoint_lower_bound(k3, 24, 0.3, 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -527,9 +542,7 @@ def test_scan_block_probability_matches_disjoint_lower_bound(name):
     P = named_pattern(name)
     p = 0.15  # about half the blocks hold a copy
     r = scan_phase_transition(P, 24, [2], 5000, p=p, seed=12).rows[0].disjoint_lb ** 0.5
-    ref = disjoint_lower_bound(P, 24, p, 2, samples=20000, seed=13)
-    assert not ref.exact and ref.block_size == 12
-    rb = ref.block_probability
+    rb = mc_tail(P, GnpModel(12, p, 13), 1, 20000).estimate
     se = math.sqrt(r * (1 - r) / 10000 + rb * (1 - rb) / 20000)
     assert 0 < se and abs(r - rb) <= 5 * se
 
@@ -592,7 +605,7 @@ def test_block_hits_hand_built():
     # the same graphs as two chunks, the first counted on its own
     blocks = _BlockHits(k3, 23, [4, 1], 3)
     for part in (graphs[:4], graphs[4:]):
-        counts = _chunk_counts(k3, 23, len(part), *_chunk(part), DEFAULT_MAP_BUDGET, blocks)
+        counts = _chunk_counts(k3, 23, len(part), *_chunk(part), blocks)
         assert counts.tolist() == [count_copies(k3, SimpleGraph(23, g)) for g in part]
     assert blocks.hits == {4: 2, 1: 4} and blocks.count == 1
     blocks.flush()
@@ -657,11 +670,25 @@ def test_csv_schema(k3):
     first = lines[1].split(",")
     assert first[0] == "1" and first[-1] == "500"
     # json mirror parses and matches row count
-    import json
-
     payload = json.loads(rows_to_json(res.rows, crossover=res.crossover))
     assert len(payload["rows"]) == 2
     assert payload["crossover"] == res.crossover
+
+
+def test_writers_share_the_tail_row_schema(k3):
+    # the CSV columns and the JSON row keys are TailRow's fields, no more
+    fields = {f.name for f in dataclasses.fields(TailRow)}
+    columns = CSV_HEADER.split(",")
+    assert len(columns) == len(fields) and set(columns) == fields
+    rows = scan_phase_transition(k3, 6, range(1, 3), 100, seed=0).rows
+    assert [set(r) for r in json.loads(rows_to_json(rows))["rows"]] == [fields, fields]
+
+
+def test_csv_cell_of_a_numpy_scalar():
+    row = TailRow(k=2, n=24, p=0.15, estimate=0.5, ci_low=0.25, ci_high=0.75,
+                  samples=4, disjoint_lb=np.float64(0.0004))
+    header, line = rows_to_csv([row]).splitlines()
+    assert dict(zip(header.split(","), line.split(",")))["disjoint_lb"] == "0.0004"
 
 
 def test_scan_determinism(k3):
