@@ -21,18 +21,14 @@ kernel runs only on the complex components (more edges than vertices).
 Near the threshold p = n**(-2/delta) most samples are sparse, and most
 nonempty cores are disjoint cycles (or, after the truss prune, empty), so
 the cost follows the edges drawn rather than the C(n, 2) vertex pairs.
-
-The scan's disjoint-blocks lower bound draws no graphs of its own. A block
-of m = n // k vertices of a sampled G(n, p) induces a G(m, p) draw, and a
-copy inside it lies among the core edges the counts were read from, in a
-graph that holds a copy. Those edges are held for a chunk or two of such
-graphs at a time, and their (graph, block) pairs counted from them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,6 +47,7 @@ from .errors import (
     BlockTooSmallError,
     DomainError,
     TooFewVerticesError,
+    TooLargeError,
 )
 from .graphs import (
     GnpModel,
@@ -228,8 +225,7 @@ def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
 
 
 def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
-                  u: np.ndarray, v: np.ndarray,
-                  blocks: _BlockHits | None = None) -> np.ndarray:
+                  u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Copy counts of `count` graphs on n vertices with edges (u[i], v[i])
     in graph graph[i], sorted by graph, then by (u, v).
 
@@ -245,10 +241,6 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
     otherwise, or complex (e > v). The copy kernel runs once per graph, on
     its complex components with at least q vertices and e(H) edges, and
     only on graphs that have one.
-
-    `blocks`, when given, gets the edges of the components that can hold a
-    copy, in the graphs that hold one: every copy in an induced subgraph of
-    a graph lies among them.
     """
     keep, a, b, size = _core_edges(graph * n + u, graph * n + v, count * n,
                                    P.delta, P.edge_triangles)
@@ -270,90 +262,28 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
         if len(gu):
             g = SimpleGraph(n, zip(gu.tolist(), gv.tolist()))
             out[xg[start]] += count_copies(P, g)
-    if blocks is not None:
-        held = (cycle | cx) & (out[graph] > 0)
-        blocks.add(graph[held], u[held], v[held])
     return out
 
 
-def _block_hits(P: Pattern, m: int, k: int, graph: np.ndarray, u: np.ndarray,
-                v: np.ndarray) -> int:
-    """Number of pairs (graph g, block b < k) whose subgraph induced on the
-    vertices [b*m, (b+1)*m) holds a copy, from edges (graph, u, v) sorted by
-    graph, then by (u, v), among which every such copy lies.
-
-    The pairs with an edge inside their block are numbered consecutively and
-    counted as graphs on m vertices, so the work follows the edges given.
-    """
-    block = u // m
-    inside = (block == v // m) & (block < k)
-    if not inside.any():
-        return 0
-    block = block[inside]
-    ids, pair = np.unique(graph[inside] * k + block, return_inverse=True)
-    u, v = u[inside] - block * m, v[inside] - block * m
-    return int(np.count_nonzero(_chunk_counts(P, m, len(ids), pair, u, v)))
-
-
-class _BlockHits:
-    """hits[k], for each block count k: the number of pairs (graph, block
-    b < k) of sampled G(n, p) graphs whose subgraph induced on the vertices
-    [b*m, (b+1)*m), m = n // k, holds a copy.
-
-    `_chunk_counts` adds the core edges of its graphs that hold a copy,
-    among which every such copy lies. They are held until `graphs` graphs
-    are, then counted for every k (`_block_hits`): memory stays within
-    about two chunks of graphs, and near the threshold, where few graphs
-    hold a copy, one count serves several chunks.
-    """
-
-    def __init__(self, P: Pattern, n: int, ks, graphs: int):
-        self.P, self.n, self.graphs = P, n, graphs
-        self.hits = dict.fromkeys(ks, 0)
-        self.held, self.count = [], 0
-
-    def add(self, graph: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-        """One chunk's edges (graph, u, v), sorted by graph, then by (u, v)."""
-        if len(graph):
-            ids, graph = np.unique(graph, return_inverse=True)
-            self.held.append((graph + self.count, u, v))
-            self.count += len(ids)
-            if self.count >= self.graphs:
-                self.flush()
-
-    def flush(self) -> None:
-        """Count the blocks of the held graphs into hits, and drop them."""
-        if self.held:
-            graph, u, v = (np.concatenate(col) for col in zip(*self.held))
-            for k in self.hits:
-                self.hits[k] += _block_hits(self.P, self.n // k, k, graph, u, v)
-            self.held, self.count = [], 0
-
-
-def _batch_counts(P: Pattern, n: int, p: float, count: int, rng,
-                  blocks: _BlockHits | None = None) -> np.ndarray:
-    """Copy counts of `count` G(n, p) graphs sampled as one batch, with
-    their core edges added to `blocks` as in `_chunk_counts`.
+def _batch_counts(P: Pattern, n: int, p: float, count: int, rng) -> np.ndarray:
+    """Copy counts of `count` G(n, p) graphs sampled as one batch.
 
     For n <= MAX_EXACT_N each graph's count is read from the exact copy
     count array at its row-major edge bitmask: the OR of bit
     u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
-    (exact in float64 up to 21 bits); `blocks` is None there, as its
-    blocks have more than MAX_EXACT_N vertices. Otherwise the counts come
-    from the components of the graphs' cores (`_chunk_counts`).
+    (exact in float64 up to 21 bits). Otherwise the counts come from the
+    components of the graphs' cores (`_chunk_counts`).
     """
     graph, u, v = sample_gnp_batch(n, p, count, rng)
     if n <= MAX_EXACT_N:
         bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
         masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
         return copy_count_array(P, n)[masks].astype(np.int64)
-    return _chunk_counts(P, n, count, graph, u, v, blocks)
+    return _chunk_counts(P, n, count, graph, u, v)
 
 
-def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
-               blocks: _BlockHits | None = None) -> np.ndarray:
-    """Copy counts of `samples` independent G(n, p) draws; when `blocks`
-    is given, its hits count the blocks of all the draws on return.
+def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1) -> np.ndarray:
+    """Copy counts of `samples` independent G(n, p) draws.
 
     Worker w handles a fixed contiguous share using the stream derived from
     (seed, w), so the counts depend only on (seed, workers). A share is
@@ -374,10 +304,8 @@ def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1,
         rng = worker_rng(model.seed, w)
         for start in range(0, cnt, chunk):
             size = min(chunk, cnt - start)
-            out[pos : pos + size] = _batch_counts(P, n, p, size, rng, blocks)
+            out[pos : pos + size] = _batch_counts(P, n, p, size, rng)
             pos += size
-    if blocks is not None:
-        blocks.flush()
     return out
 
 
@@ -445,16 +373,70 @@ def clique_lower_bound(P: Pattern, n: int, p: float, k: int) -> float:
     return p ** (s * (s - 1) // 2)
 
 
+# Largest pattern the second-moment bound serves: its sum runs over the
+# sum_j C(q, j)**2 * j! partial injections of the pattern into itself,
+# 130,922 at q = 7 (0.14 s) and 1,441,729 at q = 8 (2.5 s).
+MAX_SECOND_MOMENT_Q = 7
+
+
+@functools.cache
+def _overlap_histogram(q: int, edges: tuple) -> tuple:
+    """((j, s), count) pairs over the partial injections sigma of the pattern's
+    vertices 0..q-1 into themselves, j = |sigma| and s the number of edges
+    ab with sigma(a)sigma(b) an edge, listed by backtracking."""
+    arcs = set(edges) | {(b, a) for a, b in edges}
+    back = [[a for a in range(i) if (a, i) in arcs] for i in range(q)]
+    hist = Counter()
+
+    def rec(image, j, s):  # image[a] is sigma(a), None off the domain
+        if len(image) == q:
+            hist[j, s] += 1
+            return
+        rec(image + (None,), j, s)
+        for t in set(range(q)).difference(image):
+            hit = sum((image[a], t) in arcs for a in back[len(image)])
+            rec(image + (t,), j + 1, s + hit)
+
+    rec((), 0, 0)
+    return tuple(hist.items())
+
+
+def second_moment_bound(P: Pattern, m: int, p: float) -> float:
+    """Paley-Zygmund lower bound E[X]**2 / E[X**2] <= P(X > 0) for the copy
+    count X of G(m, p) (Janson, Luczak and Rucinski, Random Graphs, 2000,
+    ch. 3). With a = |Aut H|, a*E[X] = (m)_q p**e and a**2*E[X**2] is the
+    sum over partial injections sigma of (m)_(2q-|sigma|) p**(2e - s(sigma))
+    (`_overlap_histogram`). With p = x/y exactly, both are scaled by
+    y**(2e) into integers, so the ratio is rounded once: no float overflows
+    at tiny p, and p = 1 gives 1.0. Patterns above MAX_SECOND_MOMENT_Q
+    vertices raise TooLargeError before any enumeration."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
+    if P.q > MAX_SECOND_MOMENT_Q:
+        raise TooLargeError(
+            f"second-moment bound capped at {MAX_SECOND_MOMENT_Q} pattern vertices, got {P.q}")
+    if p == 0:
+        return 0.0  # no edges, no copy; the ratio itself is 0/0
+    q, e, (x, y) = P.q, P.edge_count, p.as_integer_ratio()
+    second = sum(h * math.perm(m, 2 * q - j) * x ** (2 * e - s) * y**s
+                 for (j, s), h in _overlap_histogram(q, P.graph.edges))
+    return (math.perm(m, q) * x**e) ** 2 / second
+
+
 def disjoint_lower_bound(P: Pattern, n: int, p: float, s: int) -> float:
-    """P(at least one copy in G(n//s, p))**s, exactly: a lower bound on
-    having s vertex-disjoint copies (blocks are disjoint and independent).
-    Blocks above MAX_EXACT_N vertices raise TooLargeError."""
+    """r**s with r a lower bound on P(at least one copy in G(n//s, p)): a
+    lower bound on having s vertex-disjoint copies (blocks are disjoint and
+    independent). r is exact for blocks of at most MAX_EXACT_N vertices and
+    `second_moment_bound` above that, which raises TooLargeError for
+    patterns above MAX_SECOND_MOMENT_Q vertices."""
     if s < 1:
         raise DomainError(f"s must be positive, got {s}")
     m = n // s
     if m < P.q:
         raise BlockTooSmallError(f"blocks of size {m} cannot hold a {P.q}-vertex copy")
-    return exact_probability(GnpModel(m, p), CopiesAtLeast(P, 1)) ** s
+    if m <= MAX_EXACT_N:
+        return exact_probability(GnpModel(m, p), CopiesAtLeast(P, 1)) ** s
+    return second_moment_bound(P, m, p) ** s
 
 
 def crossover_k(q: int, log_n: float) -> int:
@@ -495,20 +477,16 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
 
     All rows share a single batch of samples, which is what a per-k call of
     mc_tail with the same model would see anyway. The disjoint-blocks bound
-    r**k needs blocks of m = n // k >= q vertices. For m <= MAX_EXACT_N, r
-    is exact (`disjoint_lower_bound`). Otherwise r is the share of the
-    samples * k blocks [b*m, (b+1)*m) of the same samples whose induced
-    subgraph, itself a G(m, p) draw, holds a copy (`_block_hits`).
+    is `disjoint_lower_bound` for every k, and empty where that raises:
+    blocks of m = n // k < q vertices, or a pattern too large for the
+    second-moment bound.
     """
     if p is None:
         p = threshold_probability(n, P.delta)
     ks = sorted(set(int(k) for k in ks))
     if any(k < 1 for k in ks):
         raise DomainError("scan thresholds must be at least 1")
-    # blocks too large for the exact path: counted in the scan's own draws
-    big = [k for k in ks if k > 1 and n // k >= max(P.q, MAX_EXACT_N + 1)]
-    blocks = _BlockHits(P, n, big, _chunk_graphs(n, p)) if big else None
-    counts = _mc_counts(P, GnpModel(n, p, seed), samples, workers, blocks=blocks)
+    counts = _mc_counts(P, GnpModel(n, p, seed), samples, workers)
     exact_tab = tail_probability_table(P, n, p) if n <= MAX_EXACT_N else None
     rows = []
     for k in ks:
@@ -519,13 +497,10 @@ def scan_phase_transition(P: Pattern, n: int, ks, samples: int,
             clq = clique_lower_bound(P, n, p, k)
         except TooFewVerticesError:
             clq = None
-        dis, m = None, n // k
-        if P.q <= m <= MAX_EXACT_N:
+        try:
             dis = disjoint_lower_bound(P, n, p, k)
-        elif m >= P.q:
-            # for k = 1 the one block is the whole graph
-            hits = int(np.count_nonzero(counts)) if k == 1 else blocks.hits[k]
-            dis = (hits / (samples * k)) ** k
+        except (BlockTooSmallError, TooLargeError):
+            dis = None
         rows.append(_tail_row(counts, k, n, p, exact=exact,
                               L_value=tail_rate(k, n, P.q) if k >= 2 else 0.0,
                               clique_lb=clq, disjoint_lb=dis))

@@ -141,7 +141,7 @@ def test_tail_formats(capsys):
 
 
 def test_scan_deterministic_csv(tmp_path):
-    # n = 6: exact blocks; n = 400: disjoint bounds from the scan's own sample
+    # n = 6: exact blocks; n = 400: second-moment disjoint bounds
     for n in ("6", "400"):
         args = ["scan", "--pattern", "k3", "--n", n, "--kmax", "4",
                 "--samples", "5000", "--seed", "7", "--format", "csv"]

@@ -10,6 +10,7 @@ from oracles import component_labels_oracle, triangle_support_oracle, truss_core
 from regtail import tails
 from regtail.bounds import tail_rate
 from regtail.counting import (
+    MAX_EXACT_N,
     CopiesAtLeast,
     count_copies,
     exact_probability,
@@ -30,8 +31,6 @@ from regtail.graphs import (
 from regtail.tails import (
     CSV_HEADER,
     TailRow,
-    _block_hits,
-    _BlockHits,
     _chunk_counts,
     _chunk_graphs,
     _components,
@@ -46,6 +45,7 @@ from regtail.tails import (
     rows_to_csv,
     rows_to_json,
     scan_phase_transition,
+    second_moment_bound,
     triangle_support,
     wilson_interval,
 )
@@ -510,17 +510,54 @@ def test_disjoint_bound_vs_mc(k3):
     assert b <= row.ci_high
 
 
-def test_disjoint_bound_refuses_blocks_above_exact_size(k3):
-    # blocks of 12 vertices: a scan counts them in its own draws instead
+def test_disjoint_bound_above_the_exact_size(k3):
+    # blocks of 12 vertices get the second-moment bound; a pattern of 8
+    # vertices is above its cap
+    assert disjoint_lower_bound(k3, 24, 0.3, 2) == second_moment_bound(k3, 12, 0.3) ** 2
     with pytest.raises(TooLargeError):
-        disjoint_lower_bound(k3, 24, 0.3, 2)
+        disjoint_lower_bound(make_pattern(cycle_graph(8)), 24, 0.3, 2)
+
+
+@pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
+def test_second_moment_bound_against_exact_moments(name):
+    # E[X] and E[X**2] from the exact tail table, and r = P(X >= 1) above
+    # the bound (up to the table's float rounding)
+    P = named_pattern(name)
+    for m in range(P.q, MAX_EXACT_N + 1):
+        for p in (0.05, 0.15, 0.3, 0.6, 0.95):
+            tail = tail_probability_table(P, m, p)[1:]
+            odd = 2 * np.arange(1, len(tail) + 1) - 1
+            bound = second_moment_bound(P, m, p)
+            assert bound == pytest.approx(tail.sum() ** 2 / (odd * tail).sum(), rel=1e-9)
+            assert 0 < bound <= tail[0] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["k3", "c4"])
+def test_second_moment_bound_below_mc_tail(name):
+    # the sparse regime, where the bound is close to the tail itself
+    P = named_pattern(name)
+    row = mc_tail(P, GnpModel(200, 1 / 400, 13), 1, 20000)
+    assert 0 < second_moment_bound(P, 200, 1 / 400) <= row.ci_high
+
+
+def test_second_moment_bound_edge_cases(k3):
+    k5 = named_pattern("k5")
+    assert second_moment_bound(k5, 8, 0.0) == 0.0  # not the ratio's 0/0
+    assert second_moment_bound(k5, 8, 1.0) == 1.0
+    for m in (8, 10**6):  # p**-20 alone overflows a float here
+        assert 0.0 <= second_moment_bound(k5, m, 1e-12) <= 1.0
+    assert second_moment_bound(make_pattern(complete_graph(7)), 9, 1.0) == 1.0
+    with pytest.raises(TooLargeError):
+        second_moment_bound(make_pattern(cycle_graph(8)), 9, 0.5)
+    with pytest.raises(DomainError):
+        second_moment_bound(k3, 9, 1.5)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ["k3", "c4"])
 def test_scan_at_large_n_leaves_the_main_stream(name, workers):
-    # the disjoint bound reads the scan's own sample and draws nothing, so
-    # every other column is what mc_tail and the closed forms give
+    # the disjoint bound is a closed form and draws nothing, so every other
+    # column is what mc_tail and the closed forms give
     P = named_pattern(name)
     res = scan_phase_transition(P, 400, range(1, 7), 600, seed=8, workers=workers)
     for row in res.rows:
@@ -531,85 +568,34 @@ def test_scan_at_large_n_leaves_the_main_stream(name, workers):
         assert row.L_value == (tail_rate(row.k, 400, P.q) if row.k >= 2 else 0.0)
         assert row.clique_lb == clique_lower_bound(P, 400, res.p, row.k)
         assert type(row.disjoint_lb) is float  # a numpy scalar's repr is no CSV cell
-    # k = 1: the one block is the whole graph
-    assert res.rows[0].disjoint_lb == res.rows[0].estimate > 0
 
 
-@pytest.mark.parametrize("name", ["k3", "c4"])
-def test_scan_block_probability_matches_disjoint_lower_bound(name):
-    # n = 24, k = 2: the scan's 10,000 blocks of m = 12 against 20,000
-    # fresh G(12, p) draws
-    P = named_pattern(name)
-    p = 0.15  # about half the blocks hold a copy
-    r = scan_phase_transition(P, 24, [2], 5000, p=p, seed=12).rows[0].disjoint_lb ** 0.5
-    rb = mc_tail(P, GnpModel(12, p, 13), 1, 20000).estimate
-    se = math.sqrt(r * (1 - r) / 10000 + rb * (1 - rb) / 20000)
-    assert 0 < se and abs(r - rb) <= 5 * se
+def _assert_disjoint_column_is_the_rule(P, n, ks, p=None):
+    """Every scan row's disjoint_lb is disjoint_lower_bound, and None
+    exactly where that raises."""
+    res = scan_phase_transition(P, n, ks, 50, p=p, seed=4)
+    for row in res.rows:
+        try:
+            want = disjoint_lower_bound(P, n, res.p, row.k)
+        except (BlockTooSmallError, TooLargeError):
+            want = None
+        assert row.disjoint_lb == want
+    return res.rows
+
+
+@pytest.mark.parametrize("n,ks", [(6, range(1, 4)), (24, range(1, 9)),
+                                  (400, (1, 2, 3, 50, 57, 100, 134))])
+@pytest.mark.parametrize("name", ["k3", "c4", "k4"])
+def test_scan_disjoint_column_is_disjoint_lower_bound(name, n, ks):
+    # blocks of m = n // k on both sides of the exact size, and below q
+    _assert_disjoint_column_is_the_rule(named_pattern(name), n, ks)
 
 
 def test_scan_blocks_smaller_than_the_pattern():
-    # C9 at n = 16: blocks of 8 vertices exceed the exact size but cannot
-    # hold a 9-cycle, so k = 2 has no bound, as k = 3 (blocks of 5) has none
-    c9 = make_pattern(cycle_graph(9))
-    rows = scan_phase_transition(c9, 16, [1, 2, 3], 200, p=0.12, seed=0).rows
-    assert [r.disjoint_lb is None for r in rows] == [False, True, True]
-    assert rows[0].disjoint_lb == rows[0].estimate > 0
-
-
-def _block_oracle(P, raw, m, k):
-    """Blocks [b*m, (b+1)*m), b < k, of the raw samples whose induced
-    subgraph holds a copy, by the kernel on each subgraph."""
-    hits = 0
-    for u, v in raw:
-        for b in range(k):
-            inside = (u // m == b) & (v // m == b)
-            g = SimpleGraph(m, zip((u[inside] - b * m).tolist(), (v[inside] - b * m).tolist()))
-            hits += count_copies(P, g) > 0
-    return hits
-
-
-@pytest.mark.parametrize("entries,held", [(tails.MC_CHUNK_ENTRIES, 10**6), (1, 3)])
-@pytest.mark.parametrize("n,ks,samples", [(30, (1, 2, 3, 4), 80), (400, (2, 3, 6, 7), 24)])
-@pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
-def test_block_hits_match_induced_subgraphs(name, n, ks, samples, entries, held, monkeypatch):
-    # every copy inside a block lies among the edges each chunk hands over;
-    # the vertices from k * m on are in no block (n % k != 0 for k = 4 at
-    # n = 30 and k = 3, 6, 7 at n = 400). All edges are counted at the end,
-    # or, with one graph a chunk, about every third graph that holds a copy
-    monkeypatch.setattr(tails, "MC_CHUNK_ENTRIES", entries)
-    P = named_pattern(name)
-    p = 2 * threshold_probability(n, P.delta)  # some block then holds a copy
-    blocks = _BlockHits(P, n, ks, held)
-    counts = _mc_counts(P, GnpModel(n, p, 5), samples, workers=2, blocks=blocks)
-    raw = list(_raw_samples(n, p, 5, samples))
-    assert blocks.hits == {k: _block_oracle(P, raw, n // k, k) for k in ks}
-    assert any(h for k, h in blocks.hits.items() if k > 1)
-    if 1 in ks:
-        assert blocks.hits[1] == np.count_nonzero(counts)
-    assert blocks.held == [] and blocks.count == 0
-
-
-def test_block_hits_hand_built():
-    # n = 23, k = 4: blocks of m = 5 vertices, and 20, 21, 22 in none
-    graphs = [
-        _cycle(3, 4, 5),                      # straddles blocks 0 and 1
-        _cycle(20, 21, 22),                   # outside every block
-        _cycle(5, 6, 7) + _cycle(15, 16, 17) + [(7, 10), (10, 15)],  # blocks 1 and 3
-        [(a + 8, b + 8) for a, b in K4_EDGES],  # vertices 8, 9 | 10, 11
-        _diamond(0, 1, 2, 3),                 # two in block 0: one block
-        _cycle(0, 1, 2, 3),                   # a 4-cycle in block 0 holds no triangle
-    ]
-    k3 = named_pattern("k3")
-    want = _block_oracle(k3, [_chunk([g])[1:] for g in graphs], 5, 4)
-    assert _block_hits(k3, 5, 4, *_chunk(graphs)) == want == 3
-    # the same graphs as two chunks, the first counted on its own
-    blocks = _BlockHits(k3, 23, [4, 1], 3)
-    for part in (graphs[:4], graphs[4:]):
-        counts = _chunk_counts(k3, 23, len(part), *_chunk(part), blocks)
-        assert counts.tolist() == [count_copies(k3, SimpleGraph(23, g)) for g in part]
-    assert blocks.hits == {4: 2, 1: 4} and blocks.count == 1
-    blocks.flush()
-    assert blocks.hits == {4: 3, 1: 5} and blocks.count == 0
+    # C9 at n = 16: blocks of 8 and 5 vertices cannot hold a 9-cycle, and
+    # the whole graph is one block of a pattern above the second-moment cap
+    rows = _assert_disjoint_column_is_the_rule(make_pattern(cycle_graph(9)), 16, [1, 2, 3], 0.12)
+    assert [r.disjoint_lb for r in rows] == [None, None, None]
 
 
 def _scan_peak(samples):
@@ -624,9 +610,10 @@ def _scan_peak(samples):
 
 
 def test_scan_memory_stays_within_a_chunk(monkeypatch):
-    # the blocks are counted a chunk or two at a time, so four times the
-    # draws cost no more memory; holding every chunk's kept edges to the
-    # end would take about 2 KB a draw, 3x the peak at 400 draws
+    # each chunk is sampled and counted on its own and only its copy counts
+    # are kept, so four times the draws cost no more memory; holding every
+    # chunk's kept edges to the end would take about 2 KB a draw, 3x the
+    # peak at 400 draws
     monkeypatch.setattr(tails, "MC_CHUNK_ENTRIES", 1024)
     assert _scan_peak(400) < 1.5 * _scan_peak(100)
 
