@@ -16,9 +16,22 @@ neighbour masks of the images it is tied to, the frame's mask of vertices
 of large enough degree, and the complement of the images already placed.
 Without a leaf hook the last position is counted by popcount. It is the
 package's one injective-map recursion: an optional leaf hook sees every
-complete map, which is how copies are listed and planted edges credited.
-The order in which maps are found follows the bit order, and no caller
-depends on it.
+complete map the plan admits, which is how copies are listed and planted
+edges credited. The order in which maps are found follows the bit order,
+and no caller depends on it.
+
+Each plan also breaks the symmetry of its planned edges (Grochow and
+Kellis, RECOMB 2007). Its group G holds the automorphisms of the edge set
+that fix every pin and map each component onto itself. Along the plan
+order, every position j in the orbit of an earlier position i under the
+pointwise stabilizer of the positions before i must take a higher label
+than i's image. Exactly one map of each G-orbit meets these conditions,
+and since a frame's bits follow its sorted labels, each condition is one
+more AND with the bits above i's image. The kernel thus finds each copy
+once instead of |Aut| times, and every caller multiplies the integer
+counts, and the integer per-edge tallies of the planted sums, by |G|
+before any float enters. Automorphism counts and the orbit table use plans
+that break nothing, as they define the group.
 
 Conditional expectations over a planted graph G* expand the product of
 per-edge factors p + (1-p)*1[planted] over edge subsets T of the pattern H:
@@ -91,11 +104,12 @@ def _greedy_order(q, edge_list, pinned):
 
     Pinned vertices come first. Works for disconnected edge sets (a fresh
     root is started whenever no unplaced vertex touches the placed set).
-    Returns (order, back, hdeg, epos, reach): back[i] lists the earlier
-    positions adjacent to position i, hdeg[i] its degree in the edge set,
-    epos the positions of each listed edge's endpoints, and reach[i] the
-    largest distance from position i within its component of the edge set.
-    Each component is placed in one run, its first vertex first.
+    Returns the plan (order, back, hdeg, epos, reach, lower, group): back[i]
+    lists the earlier positions adjacent to position i, hdeg[i] its degree
+    in the edge set, epos the positions of each listed edge's endpoints,
+    and reach[i] the largest distance from position i within its component
+    of the edge set. Each component is placed in one run, its first vertex
+    first. The plan breaks no symmetry: lower[i] is empty and group is 1.
     """
     nbrs = {v: set() for v in range(q)}
     for u, v in edge_list:
@@ -129,27 +143,77 @@ def _greedy_order(q, edge_list, pinned):
             seen |= layer
             r += 1
         reach.append(r)
-    return tuple(order), tuple(back), hdeg, epos, tuple(reach)
+    return tuple(order), tuple(back), hdeg, epos, tuple(reach), ((),) * len(order), 1
+
+
+class _Found(Exception):
+    """Stops a kernel run at its first complete map."""
+
+
+def _found(images):
+    raise _Found
+
+
+def _break_symmetry(q, plan, npins):
+    """(lower, group) for a plan over q pattern vertices whose first npins
+    positions are pinned.
+
+    The group G is made of the automorphisms of the planned edges that fix
+    every pin and map each component onto itself. Along the plan order, the
+    orbit of position i under the pointwise stabilizer of the positions
+    before it is found with pinned kernel runs of i's component into
+    itself, one for each later position j of equal degree there, and each
+    j of the orbit gets i in lower[j]. group is the product of the orbit
+    sizes, |G|. G itself is never listed: K_10 would hold 10! maps.
+    """
+    order, back, hdeg, epos = plan[:4]
+    comp = []  # first position of each position's component: every later one has a back
+    for i, bk in enumerate(back):
+        comp.append(comp[bk[0]] if bk else i)
+    hosts = {}
+    for a, b in epos:
+        hosts.setdefault(comp[a], []).append((order[a], order[b]))
+    hosts = {c: SimpleGraph(q, edges) for c, edges in hosts.items()}
+    lower = [[] for _ in order]
+    group = 1
+    for i in range(npins, len(order)):
+        c = comp[i]
+        fixed = order[c:i]  # the component's earlier positions: it is placed in one run
+        sub = _greedy_order(q, hosts[c].edges, fixed + (order[i],))
+        size = 1
+        for j in range(i + 1, len(order)):
+            if comp[j] != c or hdeg[j] != hdeg[i]:
+                continue
+            try:
+                _count_maps(sub, hosts[c], fixed + (order[j],), [DEFAULT_MAP_BUDGET], _found)
+            except _Found:
+                lower[j].append(i)
+                size += 1
+        group *= size
+    return tuple(map(tuple, lower)), group
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(pattern_graph: SimpleGraph, edge_subset=None, pins=()):
     """Cached enumeration plan for a pattern (or one of its edge subsets,
-    given as a tuple), with the pinned pattern vertices placed first."""
+    given as a tuple), with the pinned pattern vertices placed first, and
+    with the conditions that break the symmetry of the planned edges."""
     if edge_subset is None:
         edge_subset = pattern_graph.edges
-    return _greedy_order(pattern_graph.n, edge_subset, pins)
+    plan = _greedy_order(pattern_graph.n, edge_subset, pins)
+    return plan[:5] + _break_symmetry(pattern_graph.n, plan, len(pins))
 
 
 def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
-    """Number of injective maps that realize the planned edges inside g.
+    """Number of injective maps that realize the planned edges inside g and
+    meet the plan's symmetry conditions.
 
-    pins maps plan positions (a prefix: the ends of one planned edge) to
-    fixed images. state is a one-element list holding the remaining budget
-    of partial assignments; exhausting it raises BudgetExceededError, and
-    passing one cell to several calls makes them draw on one budget. leaf,
-    if given, is called with the image list (indexed by plan position) of
-    every complete map.
+    pins maps plan positions (a prefix inside one component of the planned
+    edges, such as the ends of one edge) to fixed images. state is a
+    one-element list holding the remaining budget of partial assignments;
+    exhausting it raises BudgetExceededError, and passing one cell to
+    several calls makes them draw on one budget. leaf, if given, is called
+    with the image list (indexed by plan position) of every complete map.
 
     Candidates are bit masks over a frame of g's bit view. Each component of
     the planned edges is placed inside one frame, taken at its first
@@ -158,13 +222,17 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
     one AND: the frame's vertices of degree at least hdeg[i], the neighbour
     masks of the images in back[i], and the complement of the used bits.
     Without a leaf the last position's candidates are counted by popcount,
-    a budget draw of as many assignments.
+    a budget draw of as many assignments. The plan's symmetry conditions
+    (Grochow and Kellis, RECOMB 2007) AND in, at position i, the bits above
+    the image of each position in lower[i], so the count is of one map per
+    orbit of the plan's group: the caller multiplies by its order, group.
     """
-    order, back, hdeg, _, reach = plan
+    order, back, hdeg, _, reach, lower, _ = plan
     npos = len(order)
     view = g._bit_view()
     images = [0] * npos
     nb = [0] * npos  # neighbour mask of each image in its frame
+    above = [0] * npos  # mask of the frame's bits above each image's
     frame, used = None, 0
     if pins:
         frame = view.frame_at(pins[0], reach[0])
@@ -174,7 +242,7 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
             b = frame.bit.get(w)
             if b is None or used >> b & 1 or any(not nb[j] >> b & 1 for j in back[i]):
                 return 0
-            images[i], nb[i] = w, frame.nbr[b]
+            images[i], nb[i], above[i] = w, frame.nbr[b], -(2 << b)
             used |= 1 << b
     if len(pins) == npos:
         if leaf is not None:
@@ -182,6 +250,7 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
         return 1
     last, penult = npos - 1, npos - 2
     tail = back[last]  # never empty: the last position's component has an edge
+    tail_lower = lower[last]
 
     def rec(i, frame, used):
         bk = back[i]
@@ -189,6 +258,8 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
             mask = frame.at_least[hdeg[i]]
             for j in bk:
                 mask &= nb[j]
+            for j in lower[i]:
+                mask &= above[j]
             frames = ((frame, used, mask),)
         else:
             frames = view.roots(hdeg[i], reach[i], images[:i])
@@ -215,7 +286,7 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
                 if state[0] < 0:
                     raise BudgetExceededError("injective-map enumeration budget hit")
                 b = low.bit_length() - 1
-                images[i], nb[i] = labels[b], nbr[b]
+                images[i], nb[i], above[i] = labels[b], nbr[b], -(low << 1)
                 if i == last:
                     leaf(images)
                     total += 1
@@ -223,6 +294,8 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
                     m = need & ~(used | low)
                     for j in tail:
                         m &= nb[j]
+                    for j in tail_lower:
+                        m &= above[j]
                     k = m.bit_count()
                     state[0] -= k
                     if state[0] < 0:
@@ -237,12 +310,14 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
 
 def count_injective_homs(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
     """Number of injective vertex maps carrying every pattern edge to an edge of g."""
-    return _count_maps(_plan(P.graph), g, (), [budget])
+    plan = _plan(P.graph)
+    return plan[6] * _count_maps(plan, g, (), [budget])
 
 
 def count_automorphisms(g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
-    """Number of automorphisms of g: the injective maps of g into itself."""
-    return _count_maps(_plan(g), g, (), [budget])
+    """Number of automorphisms of g: the injective maps of g into itself,
+    each one enumerated, since they define the group the other plans break."""
+    return _count_maps(_greedy_order(g.n, g.edges, ()), g, (), [budget])
 
 
 @lru_cache(maxsize=64)
@@ -254,7 +329,7 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
     the orbits are those of the subsets; rooted, they are the orbits of
     the pairs (arc, T) with the arc's edge in T, and pins is the arc.
     """
-    plan = _plan(h)
+    plan = _greedy_order(h.n, h.edges, ())  # lists every automorphism: nothing broken
     order, edges = plan[0], h.edges
     slot = {e: i for i, e in enumerate(edges)}
     autos = []  # per automorphism: vertex images, and edge slot images
@@ -286,10 +361,15 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
 
 
 def _per_copy(P: Pattern, maps: int) -> int:
-    """Copy count from a count of injective maps, each copy hit |Aut| times."""
-    if maps % P.aut_count:
-        raise ContractError(f"map count {maps} is not divisible by |Aut| = {P.aut_count}")
-    return maps // P.aut_count
+    """Copy count from a count of injective maps, each copy hit |Aut| times.
+
+    The group that the whole-pattern plan breaks is Aut(H), so its order
+    must be the pattern's aut_count: a mismatch means one of the two is
+    wrong, and every count would be scaled by it."""
+    group = _plan(P.graph)[6]
+    if group != P.aut_count:
+        raise ContractError(f"plan group order {group} differs from |Aut| = {P.aut_count}")
+    return maps // group
 
 
 def count_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
@@ -298,13 +378,14 @@ def count_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -
 
 
 def iter_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET):
-    """Distinct copies of the pattern in g, each a frozenset of edges."""
+    """Distinct copies of the pattern in g, each a frozenset of edges: the
+    plan breaks Aut(H), so each copy is met once."""
     plan = _plan(P.graph)
     epos = plan[3]
-    out = set()
+    out = []
 
     def leaf(images):
-        out.add(frozenset(
+        out.append(frozenset(
             (images[i], images[j]) if images[i] < images[j] else (images[j], images[i])
             for i, j in epos
         ))
@@ -325,7 +406,8 @@ def count_copies_through_edge(
     total = 0
     for pins, bits, size in _orbit_table(P.graph, True):
         if bits == full:
-            total += size * _count_maps(_plan(P.graph, pins=pins), g, (a, b), state)
+            plan = _plan(P.graph, pins=pins)
+            total += size * plan[6] * _count_maps(plan, g, (a, b), state)
     return _per_copy(P, total)
 
 
@@ -372,8 +454,9 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
         k, t = len(subset), len(plan[0])
         weight = size * p ** (e_h - k) * (1.0 - p) ** (k - rooted)
         weight *= math.perm(n - t, q - t)
+        group = plan[6]  # integer scaling first, so each float sees the full map count
         if credits is None:
-            total += weight * _count_maps(plan, model.planted, root, state)
+            total += weight * (group * _count_maps(plan, model.planted, root, state))
             continue
         tally = {}  # image pair -> maps crediting it; a plain dict is fastest here
 
@@ -382,13 +465,13 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
                 key = images[i], images[j]
                 tally[key] = tally.get(key, 0) + 1
 
-        total += weight * _count_maps(plan, model.planted, root, state, leaf)
+        total += weight * (group * _count_maps(plan, model.planted, root, state, leaf))
         per_edge = {}  # both arcs' tallies in one integer, so leaf order cannot round
         for (a, b), c in tally.items():
             f = (a, b) if a < b else (b, a)
             per_edge[f] = per_edge.get(f, 0) + c
         for f, c in per_edge.items():
-            credits[f] += weight * c
+            credits[f] += weight * (group * c)
     return total
 
 

@@ -270,6 +270,19 @@ def test_plan_cache_is_bounded():
     assert sweep_peel(("k3", "c4"), (2, 8), n=30) == []
     info = counting._plan.cache_info()
     assert 0 < info.currsize <= counting.PLAN_CACHE_SIZE
+    # every unrooted and rooted orbit plan of K5, symmetry conditions included,
+    # stays cached: a second run builds none
+    k5 = named_pattern("k5")
+    model = PlantedModel(12, 0.3, complete_graph(6))
+
+    def run():
+        planted_edge_deltas(k5, model)
+        edge_rooted_expectation(k5, model, (0, 1))
+
+    run()
+    misses = counting._plan.cache_info().misses
+    run()
+    assert counting._plan.cache_info().misses == misses
 
 
 def test_edge_delta_closed_forms(k3):

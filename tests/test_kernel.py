@@ -3,6 +3,7 @@ budget at which each kind of kernel call succeeds. Every test runs twice:
 with the cached frame of each component, and with ball frames, which the
 kernel gets for components above graphs.MAX_FRAME vertices."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ from oracles import (
     edge_rooted_oracle,
     planted_expectation_oracle,
 )
-from regtail import graphs
+from regtail import counting, graphs
 from regtail.counting import (
     PlantedModel,
     count_automorphisms,
@@ -24,7 +25,7 @@ from regtail.counting import (
     planted_edge_deltas,
     planted_expectation,
 )
-from regtail.errors import BudgetExceededError
+from regtail.errors import BudgetExceededError, ContractError
 from regtail.graphs import SimpleGraph, complete_graph, make_pattern, named_pattern
 
 PATTERNS = {name: named_pattern(name) for name in ("k3", "c4", "k4")}
@@ -92,28 +93,65 @@ def test_planted_sums_match_oracles(name):
             assert deltas[f] == pytest.approx((1 - p) * rooted, rel=1e-10)
 
 
+@pytest.mark.parametrize("name", (*PATTERNS, "k5"))
+@pytest.mark.parametrize("rooted", (False, True))
+def test_symmetry_breaking_matches_every_map(name, rooted):
+    """For every orbit plan of the pattern (the subsets T of the planted
+    sums, pinned onto host arcs when rooted), |G| times the broken count
+    equals the count of every map under the same plan with nothing broken,
+    and the whole-pattern plan lists each copy once."""
+    P = PATTERNS.get(name) or named_pattern(name)
+    h = P.graph
+    hosts = [_gnp(n, p, seed=n + int(10 * p)) for n, p in ((8, 0.7), (10, 0.5))]
+    for pins, bits, _ in counting._orbit_table(h, rooted):
+        subset = tuple(e for i, e in enumerate(h.edges) if bits >> i & 1)
+        plan = counting._plan(h, subset, pins)
+        every = counting._greedy_order(h.n, subset, pins)
+        assert plan[:5] == every[:5] and every[5:] == (((),) * len(plan[0]), 1)
+        for g in hosts:
+            arcs = list(g.edges[::4]) + [(b, a) for a, b in g.edges[1::4]]
+            for root in arcs if rooted else [()]:
+                want = counting._count_maps(every, g, root, [10**9])
+                assert plan[6] * counting._count_maps(plan, g, root, [10**9]) == want
+    assert counting._plan(h)[6] == P.aut_count
+    for g in hosts:
+        copies = iter_copies(P, g)
+        assert len(copies) == len(set(copies)) == count_copies(P, g)
+
+
+def test_wrong_aut_count_is_refused():
+    """The whole-pattern plan's group order cross-checks Pattern.aut_count."""
+    wrong = dataclasses.replace(PATTERNS["c4"], aut_count=4)
+    with pytest.raises(ContractError):
+        count_copies(wrong, _gnp(8, 0.5, 1))
+
+
 K3, C4, K4 = (PATTERNS[name] for name in ("k3", "c4", "k4"))
 
 # Smallest budget with which each call succeeds: the number of partial
-# assignments the kernel accepts, as measured on the set-filter kernel the
-# bit masks replaced. The order of enumeration may change; these may not.
+# assignments the kernel accepts, and that budget for the kernel that
+# enumerated every map before the plans broke the pattern's symmetry. The
+# order of enumeration may change; a boundary may fall, never rise, as the
+# symmetry-breaking conditions only remove candidates.
 BOUNDARY = {
-    "plain_k3_k6": (156, lambda b: count_copies(K3, complete_graph(6), b)),
-    "plain_c4": (192, lambda b: count_copies(C4, _gnp(11, 0.4, 1), b)),
-    "plain_k4": (550, lambda b: count_copies(K4, _gnp(12, 0.6, 2), b)),
-    "automorphisms_k5": (325, lambda b: count_automorphisms(complete_graph(5), b)),
-    "pinned_k4_k6": (16, lambda b: count_copies_through_edge(K4, complete_graph(6), (0, 1), b)),
-    "pinned_c4": (13, lambda b: count_copies_through_edge(C4, _gnp(10, 0.5, 3), (0, 1), b)),
-    "planted_k3": (186, lambda b: planted_expectation(
+    "plain_k3_k6": (41, 156, lambda b: count_copies(K3, complete_graph(6), b)),
+    "plain_c4": (67, 192, lambda b: count_copies(C4, _gnp(11, 0.4, 1), b)),
+    "plain_k4": (97, 550, lambda b: count_copies(K4, _gnp(12, 0.6, 2), b)),
+    "automorphisms_k5": (325, 325, lambda b: count_automorphisms(complete_graph(5), b)),
+    "pinned_k4_k6": (10, 16, lambda b: count_copies_through_edge(
+        K4, complete_graph(6), (0, 1), b)),
+    "pinned_c4": (13, 13, lambda b: count_copies_through_edge(C4, _gnp(10, 0.5, 3), (0, 1), b)),
+    "planted_k3": (110, 186, lambda b: planted_expectation(
         K3, PlantedModel(20, 0.1, _gnp(9, 0.5, 4)), b)),
-    "planted_c4_deltas": (1212, lambda b: planted_edge_deltas(
+    "planted_c4_deltas": (505, 1212, lambda b: planted_edge_deltas(
         C4, PlantedModel(15, 0.2, _gnp(8, 0.5, 5)), b)),
 }
 
 
 @pytest.mark.parametrize("case", BOUNDARY)
 def test_budget_boundary(case):
-    budget, run = BOUNDARY[case]
+    budget, every_map, run = BOUNDARY[case]
+    assert budget <= every_map
     run(budget)
     with pytest.raises(BudgetExceededError):
         run(budget - 1)
