@@ -59,19 +59,24 @@ K3, C4, K4 and K5 have 4, 6, 11 and 34 subset orbits (of 2^e(H)) and 4,
 8, 20 and 120 rooted orbits (of e(H) * 2^e(H) pairs).
 
 Exact probabilities for n <= 7 index every labeled graph by its row-major
-edge bitmask. Each array over the 2^C(n,2) masks comes from one subset
-closure: mark some masks, then for each edge slot let every mask with that
-bit set take in the entry of the mask without it. On bool entries this
-answers "contains a marked mask", on integers "how many marked masks".
-Copy counts mark the copies of the pattern in K_n and edge counts the single
-edges. Both structural events mark the copy unions that one breadth-first
-search over distinct union masks reaches: the disjoint-copies event grows a
-union by the copies that share no vertex with it and marks the unions of s
-copies, the spanned-copies event grows it by the copies that touch it and
-marks the connected unions with enough copies. None of this
-depends on p: each event keeps a cached histogram of its satisfying graphs
-by edge count, and each pattern one by (edge count, copy count), so a
-probability at a new p is one product with the weights p**m (1-p)**(C(n,2)-m).
+edge bitmask. Edge counts are the popcounts of the masks' high and low
+halves, summed by broadcasting. Every other array over the 2^C(n,2) masks
+comes from one subset closure: mark some masks, then for each edge slot let
+every mask with that bit set take in the entry of the mask without it. On
+bool entries this answers "contains a marked mask", on integers "how many
+marked masks". Copy counts mark the copies of the pattern in K_n. Both
+structural events mark the copy unions that one breadth-first search over
+distinct union masks reaches: the disjoint-copies event grows a union by the
+copies that share no vertex with it and marks the unions of s copies, the
+spanned-copies event grows it by the copies that touch it and marks the
+connected unions with enough copies. None of this depends on p: each pattern
+keeps a cached histogram of the graphs by (edge count, copy count), and each
+event one of its satisfying graphs by edge count, so a probability at a new
+p is one product with the weights p**m (1-p)**(C(n,2)-m). An event that
+only asks for at least k copies (CopiesAtLeast for any k, DisjointCopies
+with s <= 1, HasSpannedWithCopies with count <= 1) takes its histogram as
+the sum of the count histogram's columns k and up; only the other
+structural events build and bin an array of their own.
 """
 
 from __future__ import annotations
@@ -588,7 +593,10 @@ def _copy_masks(P: Pattern, n: int):
 
 
 def _exact_slots(n: int) -> int:
-    """C(n,2) for n <= MAX_EXACT_N, checked before any 2^C(n,2) array exists."""
+    """C(n,2) for 0 <= n <= MAX_EXACT_N, checked before any 2^C(n,2) array
+    exists."""
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
     if n > MAX_EXACT_N:
         raise TooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     return n * (n - 1) // 2
@@ -621,9 +629,18 @@ def _subset_closure(n: int, marked, dtype) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _popcounts(n: int):
-    """Edge count of every labeled graph on n vertices: the single-edge
-    masks it contains."""
-    return _subset_closure(n, (1 << b for b in range(n * (n - 1) // 2)), np.uint8)
+    """Edge count of every labeled graph on n vertices (n <= 7), indexed by
+    the row-major edge bitmask: the popcount of the mask's high half plus
+    that of its low half, broadcast from one table of 2^ceil(C(n,2)/2)
+    popcounts."""
+    m_slots = _exact_slots(n)
+    low = m_slots // 2
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(m_slots - low):
+        table = np.concatenate((table, table + 1))
+    pc = (table[:, None] + table[None, :1 << low]).reshape(-1)
+    pc.setflags(write=False)
+    return pc
 
 
 @lru_cache(maxsize=32)
@@ -679,9 +696,6 @@ class CopiesAtLeast:
     pattern: Pattern
     k: int
 
-    def mask_array(self, n: int) -> np.ndarray:
-        return copy_count_array(self.pattern, n) >= self.k
-
 
 @dataclass(frozen=True)
 class DisjointCopies:
@@ -708,6 +722,8 @@ class HasSpannedWithCopies:
 
 def _weights_by_popcount(m_slots: int, p: float) -> np.ndarray:
     """p**j * (1-p)**(m_slots - j) for j = 0..m_slots, computed in log space."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
     w = np.zeros(m_slots + 1)
     if p == 0.0:
         w[0] = 1.0
@@ -736,11 +752,32 @@ def _binned(n: int, size: int, keys) -> np.ndarray:
     return hist
 
 
+def _copies_at_least(event):
+    """The k for which the event is "at least k copies of its pattern", or
+    None. One disjoint copy, or one connected union of a single copy, is just
+    a copy; zero of either is the empty graph, which every graph contains."""
+    if isinstance(event, CopiesAtLeast):
+        return event.k
+    if isinstance(event, DisjointCopies) and event.s <= 1:
+        return event.s
+    if isinstance(event, HasSpannedWithCopies) and event.count <= 1:
+        return event.count
+    return None
+
+
 @lru_cache(maxsize=64)
 def _event_histogram(event, n: int) -> np.ndarray:
     """Number of labeled graphs on n vertices satisfying the event at each
-    edge count 0..C(n,2). The event is a frozen dataclass, so it keys the
+    edge count 0..C(n,2). A copies-at-least event sums the columns k and up
+    of its pattern's count histogram, so it builds no array of its own; any
+    other event bins its mask array. Either way every entry is an exact
+    integer in float64. The event is a frozen dataclass, so it keys the
     cache; a refused build (TooLargeError) raises and is not cached."""
+    k = _copies_at_least(event)
+    if k is not None:
+        hist = _count_histogram(event.pattern, n)[:, max(k, 0):].sum(axis=1)
+        hist.setflags(write=False)
+        return hist
     pc, bits = _popcounts(n), event.mask_array(n)
     return _binned(n, n * (n - 1) // 2 + 1, lambda s: pc[s][bits[s]])
 

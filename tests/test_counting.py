@@ -365,6 +365,10 @@ def test_exact_arrays_refuse_n8(k3):
     with pytest.raises(TooLargeError):
         copy_count_array(k3, 8)
     with pytest.raises(TooLargeError):
+        counting._popcounts(8)
+    with pytest.raises(TooLargeError):
+        exact_probability(GnpModel(8, 0.2), CopiesAtLeast(k3, 1))
+    with pytest.raises(TooLargeError):
         DisjointCopies(k3, 2).mask_array(8)
     with pytest.raises(TooLargeError):
         HasSpannedWithCopies(k3, 2).mask_array(8)
@@ -408,6 +412,7 @@ def test_exact_arrays_match_direct_counts(n, p, seed):
         assert bool(_event_array(event, n)[mask]) == _oracle_holds(event, copies), event
     for pat in (_K3, _C4, _K4):
         assert int(copy_count_array(pat, n)[mask]) == count_copies(pat, g)
+    assert int(counting._popcounts(n)[mask]) == g.m
 
 
 @pytest.mark.parametrize("pat", (_K3, _C4), ids=("k3", "c4"))
@@ -480,9 +485,8 @@ def _clear_exact_caches():
         cached.cache_clear()
 
 
-def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
-    """verify bk builds each DisjointCopies array once per n, not once per p,
-    and a tail table at a new p reruns no closure."""
+def _count_closures(monkeypatch):
+    """Record the dtype of every subset closure run from here on."""
     dtypes = []
     closure = counting._subset_closure
 
@@ -491,14 +495,24 @@ def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
         return closure(n, marked, dtype)
 
     monkeypatch.setattr(counting, "_subset_closure", counted)
+    return dtypes
+
+
+def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
+    """A cold verify bk runs the copy-count closure, which answers one
+    disjoint copy, and one closure for two disjoint copies, once per n and
+    not once per p. Later tail tables and copies-at-least probabilities at
+    new p values run no closure."""
+    dtypes = _count_closures(monkeypatch)
     _clear_exact_caches()
     assert cli_main(["verify", "bk", "--n", "7"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert dtypes == [np.uint8, bool, bool]  # edge counts, one array per event
-    tail_probability_table(k3, 7, 0.2)
-    assert len(dtypes) == 4  # the copy counts
-    tail_probability_table(k3, 7, 0.3)
-    assert len(dtypes) == 4
+    assert dtypes == [np.uint16, bool]
+    for p in (0.2, 0.3):
+        tail_probability_table(k3, 7, p)
+    for k in range(4):
+        exact_probability(GnpModel(7, 0.25), CopiesAtLeast(k3, k))
+    assert len(dtypes) == 2
     for p in (0.15, 0.3, 0.6):
         for kind, arg, pred in (("at_least", 2, CopiesAtLeast(k3, 2)),
                                 ("disjoint", 1, DisjointCopies(k3, 1))):
@@ -509,19 +523,53 @@ def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
 def test_spanned_array_runs_two_closures(monkeypatch, c4):
     """A cold spanned-copies array runs the pattern's copy-count closure,
     then one bool closure over the unions its search marks."""
-    dtypes = []
-    closure = counting._subset_closure
-
-    def counted(n, marked, dtype):
-        dtypes.append(dtype)
-        return closure(n, marked, dtype)
-
-    monkeypatch.setattr(counting, "_subset_closure", counted)
+    dtypes = _count_closures(monkeypatch)
     _clear_exact_caches()
     HasSpannedWithCopies(c4, 3).mask_array(6)
     assert dtypes == [np.uint16, bool]
     with pytest.raises(TooLargeError):
         HasSpannedWithCopies(c4, 3).mask_array(8)
+
+
+@pytest.mark.parametrize("pat", (_K3, _C4, _K4), ids=("k3", "c4", "k4"))
+def test_copies_at_least_histograms_match_their_arrays(monkeypatch, pat):
+    """Every copies-at-least event's histogram, taken from the count
+    histogram's columns, equals byte for byte the bincount of independent
+    popcounts over the event's own array, at n = 2..7 and for every k from
+    -1 to one above the most copies; with the count histogram cached, none
+    of these events runs a closure."""
+    for n in range(2, 8):
+        m_slots = n * (n - 1) // 2
+        masks = np.arange(1 << m_slots)
+        pc = sum((masks >> b) & 1 for b in range(m_slots))
+        counts = copy_count_array(pat, n)
+        arrays = [(CopiesAtLeast(pat, k), counts >= k) for k in range(-1, int(counts.max()) + 2)]
+        arrays += [(DisjointCopies(pat, s), DisjointCopies(pat, s).mask_array(n))
+                   for s in (-1, 0, 1)]
+        arrays += [(HasSpannedWithCopies(pat, c), HasSpannedWithCopies(pat, c).mask_array(n))
+                   for c in (-1, 0, 1)]
+        counting._event_histogram.cache_clear()
+        counting._count_histogram(pat, n)
+        dtypes = _count_closures(monkeypatch)
+        for event, bits in arrays:
+            want = np.bincount(pc[bits], minlength=m_slots + 1).astype(np.float64)
+            assert counting._event_histogram(event, n).tobytes() == want.tobytes(), (event, n)
+        assert dtypes == []
+        monkeypatch.undo()
+
+
+def test_exact_layer_refuses_invalid_input(k3):
+    """Negative n and p outside [0, 1] (nan included) are domain errors, as
+    in GnpModel."""
+    with pytest.raises(DomainError):
+        copy_count_array(k3, -3)
+    with pytest.raises(DomainError):
+        counting._popcounts(-1)
+    with pytest.raises(DomainError):
+        tail_probability_table(k3, -1, 0.3)
+    for p in (1.5, -0.2, float("nan")):
+        with pytest.raises(DomainError):
+            tail_probability_table(k3, 6, p)
 
 
 def test_exact_histograms_read_only(k3):
