@@ -83,27 +83,6 @@ def _add_common(p, *names):
         p.add_argument("--out", default=None, help="write output to this file")
 
 
-class _VerifyTargetParser(argparse.ArgumentParser):
-    """The subparser of one verify target. It adds the target's flags when
-    it first parses: a run names one target at most, and the flags of all
-    ten would cost every run about 1 ms."""
-
-    def __init__(self, *args, target, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.target, self.flagged = target, False
-
-    def parse_known_args(self, args=None, namespace=None):
-        if not self.flagged:
-            self.flagged = True
-            for name, spec in verify_mod.SWEEPS[self.target][0].items():
-                self.add_argument(f"--{name}", type=spec[0], default=None,
-                                  help=verify_mod.flag_help(spec))
-            _add_common(self, "out")
-            self.add_argument("--replay", default=None,
-                              help="file with one violation record to rerun")
-        return super().parse_known_args(args, namespace)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -152,9 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("verify", help="run one invariant sweep, or replay one record")
-    targets = p.add_subparsers(dest="target", required=True, parser_class=_VerifyTargetParser)
-    for target in verify_mod.SWEEPS:
-        targets.add_parser(target, target=target)
+    targets = p.add_subparsers(dest="target", required=True)
+    for target, (flags, _) in verify_mod.SWEEPS.items():
+        t = targets.add_parser(target)
+        for name, spec in flags.items():
+            t.add_argument(f"--{name}", type=spec[0], default=None, help=verify_mod.flag_help(spec))
+        _add_common(t, "out")
+        t.add_argument("--replay", default=None, help="file with one violation record to rerun")
     return top
 
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bounds import EdgeRootedInput, edge_rooted_bound
-from .counting import (
-    DEFAULT_PLANTED_BUDGET,
-    PlantedModel,
-    planted_edge_deltas,
-    planted_expectation,
-)
+from .counting import PlantedModel, planted_edge_deltas, planted_expectation
 from .errors import ContractError, DomainError, IsolatedVertexError
 from .graphs import Pattern, SimpleGraph, compact_graph
 
@@ -74,15 +69,10 @@ def _model(params: SeedParams, g_star: SimpleGraph) -> PlantedModel:
     return PlantedModel(n=params.n, p=params.p, planted=g_star)
 
 
-def is_seed(
-    g_star: SimpleGraph,
-    params: SeedParams,
-    P: Pattern,
-    budget: int = DEFAULT_PLANTED_BUDGET,
-):
+def is_seed(g_star: SimpleGraph, params: SeedParams, P: Pattern):
     """Seed test: conditional expectation >= (1-w)*k and edge count within
     the cap. Returns (verdict, expectation)."""
-    expectation = planted_expectation(P, _model(params, g_star), budget)
+    expectation = planted_expectation(P, _model(params, g_star))
     return _seed_verdict(expectation, g_star.m, params), expectation
 
 
@@ -90,12 +80,7 @@ def _seed_verdict(expectation, m, params: SeedParams) -> bool:
     return expectation >= (1.0 - params.w) * params.k and m <= params.edge_cap
 
 
-def is_core(
-    g_star: SimpleGraph,
-    params: SeedParams,
-    P: Pattern,
-    budget: int = DEFAULT_PLANTED_BUDGET,
-):
+def is_core(g_star: SimpleGraph, params: SeedParams, P: Pattern):
     """Core test: expectation >= (1-2w)*k, edge count within the cap, and
     every edge's deletion drop at least t. Returns (verdict, deltas).
 
@@ -105,7 +90,7 @@ def is_core(
     for v in range(g_star.n):
         if g_star.degree(v) == 0:
             raise IsolatedVertexError(f"vertex {v} is isolated")
-    expectation, deltas = planted_edge_deltas(P, _model(params, g_star), budget)
+    expectation, deltas = planted_edge_deltas(P, _model(params, g_star))
     return _core_verdict(expectation, deltas, g_star.m, params), deltas
 
 
@@ -136,12 +121,7 @@ class CoreReport:
     min_degree_product: int | None
 
 
-def peel_to_core(
-    g_star: SimpleGraph,
-    params: SeedParams,
-    P: Pattern,
-    budget: int = DEFAULT_PLANTED_BUDGET,
-) -> CoreReport:
+def peel_to_core(g_star: SimpleGraph, params: SeedParams, P: Pattern) -> CoreReport:
     """Iteratively delete the lexicographically smallest edge whose deletion
     drop is below t, until none remains or the graph is empty.
 
@@ -155,7 +135,7 @@ def peel_to_core(
     """
     t = params.t
     work = SimpleGraph(g_star.n, g_star.edges)
-    expectation, deltas = planted_edge_deltas(P, _model(params, work), budget)
+    expectation, deltas = planted_edge_deltas(P, _model(params, work))
     trace = [expectation]
     seed_input = _seed_verdict(expectation, work.m, params)
     initial_expectation = expectation
@@ -169,7 +149,7 @@ def peel_to_core(
         delta_f = deltas[f]
         peeled.append(f)
         work = work.with_edges(e for e in work.edges if e != f)
-        expectation, deltas = planted_edge_deltas(P, _model(params, work), budget)
+        expectation, deltas = planted_edge_deltas(P, _model(params, work))
         drop = trace[-1] - expectation
         tol = 1e-9 * max(1.0, trace[-1])
         _require(abs(drop - delta_f) <= tol,

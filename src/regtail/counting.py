@@ -18,7 +18,10 @@ Without a leaf hook the last position is counted by popcount. It is the
 package's one injective-map recursion: an optional leaf hook sees every
 complete map the plan admits, which is how copies are listed and planted
 edges credited. The order in which maps are found follows the bit order,
-and no caller depends on it.
+and no caller depends on it. Every public call opens one budget cell of
+partial assignments, set at call time to DEFAULT_MAP_BUDGET for a kernel
+call and to DEFAULT_PLANTED_BUDGET for a planted sum, whose subset terms
+all draw on it; an empty cell raises BudgetExceededError.
 
 Each plan also breaks the symmetry of its planned edges (Grochow and
 Kellis, RECOMB 2007). Its group G holds the automorphisms of the edge set
@@ -100,6 +103,9 @@ DEFAULT_MAP_BUDGET = 10**9  # partial assignments per enumeration call
 DEFAULT_PLANTED_BUDGET = 10**8  # partial assignments per planted-model call
 MAX_EXACT_N = 7  # exact probability enumerates all 2^C(n,2) graphs
 PLAN_CACHE_SIZE = 1024  # holds every orbit plan of K3 to K5, pinned or not
+# Members an orbit table may list. Every one enters a set that no budget
+# counts: K7's 2^21 subsets still fit, K8's 2^28 would exhaust memory.
+MAX_ORBIT_MEMBERS = 1 << 21
 SPAN_CHUNK = 1 << 16  # (union, copy) pairs the spanned search grows at a time
 _LOW_SLOTS = 4  # closure slots folded column by column: rows of 2^b are too short for one call
 
@@ -313,16 +319,16 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
     return rec(len(pins), frame, used)
 
 
-def count_injective_homs(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
+def count_injective_homs(P: Pattern, g: SimpleGraph) -> int:
     """Number of injective vertex maps carrying every pattern edge to an edge of g."""
     plan = _plan(P.graph)
-    return plan[6] * _count_maps(plan, g, (), [budget])
+    return plan[6] * _count_maps(plan, g, (), [DEFAULT_MAP_BUDGET])
 
 
-def count_automorphisms(g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
+def count_automorphisms(g: SimpleGraph) -> int:
     """Number of automorphisms of g: the injective maps of g into itself,
     each one enumerated, since they define the group the other plans break."""
-    return _count_maps(_greedy_order(g.n, g.edges, ()), g, (), [budget])
+    return _count_maps(_greedy_order(g.n, g.edges, ()), g, (), [DEFAULT_MAP_BUDGET])
 
 
 @lru_cache(maxsize=64)
@@ -333,7 +339,13 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
     Bit i of the subset stands for h.edges[i]. Unrooted, pins is () and
     the orbits are those of the subsets; rooted, they are the orbits of
     the pairs (arc, T) with the arc's edge in T, and pins is the arc.
+    A table of more than MAX_ORBIT_MEMBERS members (2^e(h) subsets, or
+    e(h) * 2^e(h) pairs) raises TooLargeError before anything is listed.
     """
+    n_members = len(h.edges) << len(h.edges) if rooted else 1 << len(h.edges)
+    if n_members > MAX_ORBIT_MEMBERS:
+        raise TooLargeError(
+            f"orbit table of {n_members} members exceeds the cap {MAX_ORBIT_MEMBERS}")
     plan = _greedy_order(h.n, h.edges, ())  # lists every automorphism: nothing broken
     order, edges = plan[0], h.edges
     slot = {e: i for i, e in enumerate(edges)}
@@ -377,12 +389,12 @@ def _per_copy(P: Pattern, maps: int) -> int:
     return maps // group
 
 
-def count_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET) -> int:
+def count_copies(P: Pattern, g: SimpleGraph) -> int:
     """Number of edge subsets of g isomorphic to the pattern."""
-    return _per_copy(P, count_injective_homs(P, g, budget))
+    return _per_copy(P, count_injective_homs(P, g))
 
 
-def iter_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET):
+def iter_copies(P: Pattern, g: SimpleGraph):
     """Distinct copies of the pattern in g, each a frozenset of edges: the
     plan breaks Aut(H), so each copy is met once."""
     plan = _plan(P.graph)
@@ -395,18 +407,16 @@ def iter_copies(P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET):
             for i, j in epos
         ))
 
-    _count_maps(plan, g, (), [budget], leaf)
+    _count_maps(plan, g, (), [DEFAULT_MAP_BUDGET], leaf)
     return sorted(out, key=sorted)
 
 
-def count_copies_through_edge(
-    P: Pattern, g: SimpleGraph, f, budget: int = DEFAULT_MAP_BUDGET
-) -> int:
+def count_copies_through_edge(P: Pattern, g: SimpleGraph, f) -> int:
     """Number of copies of the pattern in g whose edge set contains f."""
     a, b = f
     if not g.has_edge(a, b):
         raise EdgeAbsentError(f"edge {f} not present in graph")
-    state = [budget]
+    state = [DEFAULT_MAP_BUDGET]
     full = (1 << P.edge_count) - 1
     total = 0
     for pins, bits, size in _orbit_table(P.graph, True):
@@ -480,39 +490,31 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
     return total
 
 
-def planted_expectation(
-    P: Pattern, model: PlantedModel, budget: int = DEFAULT_PLANTED_BUDGET
-) -> float:
+def planted_expectation(P: Pattern, model: PlantedModel) -> float:
     """Expected number of pattern copies in the planted model.
 
     Equals the sum over all copies in the complete graph of p raised to the
-    number of copy edges missing from the planted graph. budget caps the
-    partial assignments of all kernel runs together.
+    number of copy edges missing from the planted graph.
     """
-    return _planted_sum(P, model, [budget]) / P.aut_count
+    return _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET]) / P.aut_count
 
 
-def planted_edge_deltas(
-    P: Pattern, model: PlantedModel, budget: int = DEFAULT_PLANTED_BUDGET
-):
+def planted_edge_deltas(P: Pattern, model: PlantedModel):
     """Expectation and the deletion drop of every planted edge, from one
     kernel run per Aut(H)-orbit of pattern edge subsets.
 
     Returns (expectation, {edge: delta}) with delta(f) = (1 - p) *
     rooted(f) = E[planted] - E[planted minus f]: each map of a subset T
     credits its weight w_T to the image of every edge of T (the credit
-    identity of the module docstring). budget caps the partial assignments
-    of all kernel runs together.
+    identity of the module docstring).
     """
     credits = dict.fromkeys(model.planted.edges, 0.0)
-    total = _planted_sum(P, model, [budget], credits=credits)
+    total = _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET], credits=credits)
     aut = P.aut_count
     return total / aut, {f: c / aut for f, c in credits.items()}
 
 
-def edge_rooted_expectation(
-    P: Pattern, model: PlantedModel, f, budget: int = DEFAULT_PLANTED_BUDGET
-) -> float:
+def edge_rooted_expectation(P: Pattern, model: PlantedModel, f) -> float:
     """Expected number of copies containing the planted edge f.
 
     Sum over copies through f of p**(#copy edges missing from the planted
@@ -524,12 +526,10 @@ def edge_rooted_expectation(
     a, b = f
     if not model.planted.has_edge(a, b):
         raise EdgeAbsentError(f"edge {f} not present in planted graph")
-    return _planted_sum(P, model, [budget], root=(a, b)) / P.aut_count
+    return _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET], root=(a, b)) / P.aut_count
 
 
-def planted_edge_delta(
-    P: Pattern, model: PlantedModel, f, budget: int = DEFAULT_PLANTED_BUDGET
-):
+def planted_edge_delta(P: Pattern, model: PlantedModel, f):
     """Drop in conditional expectation when the planted edge f is released.
 
     Returns (delta, rooted) where rooted is the edge-rooted expectation of
@@ -538,16 +538,14 @@ def planted_edge_delta(
     copy through f from 1 into p. For the drops of all planted edges at
     once use planted_edge_deltas.
     """
-    rooted = edge_rooted_expectation(P, model, f, budget)
+    rooted = edge_rooted_expectation(P, model, f)
     return (1.0 - model.p) * rooted, rooted
 
 
-def edge_rooted_outside_sum(
-    P: Pattern, model: PlantedModel, f, budget: int = DEFAULT_PLANTED_BUDGET
-) -> float:
+def edge_rooted_outside_sum(P: Pattern, model: PlantedModel, f) -> float:
     """Expected number of copies through f that use at least one non-planted edge."""
-    rooted = edge_rooted_expectation(P, model, f, budget)
-    inside = count_copies_through_edge(P, model.planted, f, budget)
+    rooted = edge_rooted_expectation(P, model, f)
+    inside = count_copies_through_edge(P, model.planted, f)
     return rooted - inside
 
 
@@ -584,12 +582,6 @@ def _kn_copies(P: Pattern, n: int):
             mask |= 1 << slots[e]
         out.append((mask, frozenset(v for e in copy for v in e)))
     return tuple(out)
-
-
-def _copy_masks(P: Pattern, n: int):
-    """Edge mask of every copy of the pattern in K_n, lazily."""
-    for mask, _ in _kn_copies(P, n):
-        yield mask
 
 
 def _exact_slots(n: int) -> int:
@@ -647,7 +639,8 @@ def _popcounts(n: int):
 def copy_count_array(P: Pattern, n: int) -> np.ndarray:
     """Pattern-copy count of every labeled graph on n vertices (n <= 7),
     indexed by the row-major edge bitmask."""
-    return _subset_closure(n, _copy_masks(P, n), np.uint16)
+    _exact_slots(n)  # refuses n before K_n's copies are listed
+    return _subset_closure(n, [mask for mask, _ in _kn_copies(P, n)], np.uint16)
 
 
 def _copy_unions(P: Pattern, n: int, count: int, disjoint: bool) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_MAP_BUDGET, iter_copies
+from .counting import iter_copies
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -76,14 +76,12 @@ def _overlap_components(copies):
     return components
 
 
-def spanned_decompose(
-    P: Pattern, g: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET
-) -> SpannedDecomposition:
+def spanned_decompose(P: Pattern, g: SimpleGraph) -> SpannedDecomposition:
     """Drop edges of g in no pattern copy and split the rest into connected
     components, each reported with the copies it contains. iter_copies sorts
     copies by their sorted edge lists, so the components come in order of
     their smallest vertex."""
-    copies = iter_copies(P, g, budget)
+    copies = iter_copies(P, g)
     covered = set().union(*copies)
     dropped = tuple(e for e in g.edges if e not in covered)
 
@@ -144,9 +142,7 @@ def _min_cover(universe, sets):
     return best[0]
 
 
-def minimal_spanning_count(
-    P: Pattern, S: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET
-) -> int:
+def minimal_spanning_count(P: Pattern, S: SimpleGraph) -> int:
     """Exact minimum number of copies whose union covers every edge of S.
 
     Equals 1 exactly when S is a copy of the pattern itself. Raises
@@ -155,7 +151,7 @@ def minimal_spanning_count(
     """
     if S.m == 0:
         raise NotSpannedError("graph has no edges")
-    copies = iter_copies(P, S, budget)
+    copies = iter_copies(P, S)
     if len(copies) > MAX_COVER_COPIES:
         raise BudgetExceededError(
             f"{len(copies)} copies exceed the set-cover cap {MAX_COVER_COPIES}"
@@ -173,15 +169,13 @@ class SpanningExcessReport:
     lower: float
 
 
-def spanning_excess_report(
-    P: Pattern, S: SimpleGraph, budget: int = DEFAULT_MAP_BUDGET
-) -> SpanningExcessReport:
+def spanning_excess_report(P: Pattern, S: SimpleGraph) -> SpanningExcessReport:
     """Evaluate the spanning-excess inequality on a spanned graph S.
 
     f >= (l_star - 1)/delta whenever l_star >= 2, and f = 0 when S is a
     single copy. Vertices are counted over the support of S.
     """
-    l_star = minimal_spanning_count(P, S, budget)
+    l_star = minimal_spanning_count(P, S)
     v = len(S.support())
     f = 2.0 * S.m / P.delta - v
     lower = (l_star - 1) / P.delta
@@ -216,9 +210,7 @@ def dyadic_profile(l_list) -> DyadicProfile:
     return DyadicProfile(c=c, t=t)
 
 
-def truncate_spanned(
-    P: Pattern, S: SimpleGraph, target: int, budget: int = DEFAULT_MAP_BUDGET
-) -> SimpleGraph:
+def truncate_spanned(P: Pattern, S: SimpleGraph, target: int) -> SimpleGraph:
     """Connected subgraph of S spanned by exactly `target` of its copies.
 
     Copies are taken breadth-first over the copy-overlap graph so that every
@@ -227,7 +219,7 @@ def truncate_spanned(
     """
     if target < 1:
         raise DomainError(f"target must be positive, got {target}")
-    copies = iter_copies(P, S, budget)
+    copies = iter_copies(P, S)
     if not copies:
         raise NotSpannedError("graph holds no copy of the pattern")
     covered = set()

@@ -412,11 +412,13 @@ def second_moment_bound(P: Pattern, m: int, p: float) -> float:
     vertices raise TooLargeError before any enumeration."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
+    if m < 0:
+        raise DomainError(f"m must be nonnegative, got {m}")
     if P.q > MAX_SECOND_MOMENT_Q:
         raise TooLargeError(
             f"second-moment bound capped at {MAX_SECOND_MOMENT_Q} pattern vertices, got {P.q}")
-    if p == 0:
-        return 0.0  # no edges, no copy; the ratio itself is 0/0
+    if p == 0 or m < P.q:
+        return 0.0  # no edges or too few vertices, no copy; the ratio itself is 0/0
     q, e, (x, y) = P.q, P.edge_count, p.as_integer_ratio()
     second = sum(h * math.perm(m, 2 * q - j) * x ** (2 * e - s) * y**s
                  for (j, s), h in _overlap_histogram(q, P.graph.edges))

@@ -16,6 +16,7 @@ and to a decoder of the check's arguments from a record (`replay`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -65,16 +66,8 @@ def _violations(sweep):
 
 def _random_graph(rng, n):
     p = float(rng.uniform(0.1, 0.9))
-    m = n * (n - 1) // 2
-    mask = rng.random(m) < p
-    edges = []
-    i = 0
-    for u in range(n - 1):
-        for v in range(u + 1, n):
-            if mask[i]:
-                edges.append((u, v))
-            i += 1
-    return SimpleGraph(n, edges)
+    mask = rng.random(n * (n - 1) // 2) < p
+    return SimpleGraph(n, itertools.compress(itertools.combinations(range(n), 2), mask))
 
 
 def check_finner(P: Pattern, g: SimpleGraph, name=None):

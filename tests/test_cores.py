@@ -133,9 +133,9 @@ def test_peel_runs_engine_once_per_graph_state(k3, monkeypatch):
     calls = []
     engine = cores.planted_edge_deltas
 
-    def counted(P, model, budget):
+    def counted(P, model):
         calls.append(model.planted.m)
-        return engine(P, model, budget)
+        return engine(P, model)
 
     monkeypatch.setattr(cores, "planted_edge_deltas", counted)
     params, g = _junk_seed()
@@ -147,8 +147,8 @@ def test_peel_runs_engine_once_per_graph_state(k3, monkeypatch):
 def test_peel_rejects_a_wrong_delta(k3, monkeypatch):
     engine = cores.planted_edge_deltas
 
-    def halved(P, model, budget):
-        expectation, deltas = engine(P, model, budget)
+    def halved(P, model):
+        expectation, deltas = engine(P, model)
         return expectation, {f: d / 2 for f, d in deltas.items()}
 
     monkeypatch.setattr(cores, "planted_edge_deltas", halved)

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import lru_cache
 from itertools import combinations
 
@@ -55,12 +56,13 @@ def test_hom_counts(k3, c4, k5):
     assert count_injective_homs(c4, complete_graph(4)) == 24
 
 
-def test_count_automorphisms(c4):
+def test_count_automorphisms(c4, monkeypatch):
     assert count_automorphisms(complete_graph(5)) == 120
     assert count_automorphisms(c4.graph) == 8
     assert count_automorphisms(SimpleGraph(5, [(0, 1), (1, 2), (2, 3)])) == 2
+    monkeypatch.setattr(counting, "DEFAULT_MAP_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
-        count_automorphisms(complete_graph(6), budget=5)
+        count_automorphisms(complete_graph(6))
 
 
 def test_copy_counts(k3, c4):
@@ -128,9 +130,11 @@ def test_kernel_matches_subset_oracle_randomized(k3, c4, k4):
             assert count_copies(pat, g) == subset_copy_count(pat.graph.edges, edges)
 
 
-def test_budget_exceeded(k3):
+def test_budget_exceeded(k3, monkeypatch):
+    count_injective_homs(k3, complete_graph(7))  # builds the plan at the default limit
+    monkeypatch.setattr(counting, "DEFAULT_MAP_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
-        count_injective_homs(k3, complete_graph(7), budget=5)
+        count_injective_homs(k3, complete_graph(7))
 
 
 def test_planted_expectation_closed_forms(k3):
@@ -166,19 +170,35 @@ def test_planted_expectation_p_to_one_limit(k3):
     )
 
 
-def test_planted_budget(k4):
+def test_planted_budget(k4, monkeypatch):
     # the budget counts partial assignments over all subset terms together
     model = PlantedModel(20, 0.1, complete_graph(9))
+    planted_edge_deltas(k4, model)  # builds the plans at the default limit
+    monkeypatch.setattr(counting, "DEFAULT_PLANTED_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        planted_edge_deltas(k4, model, budget=100)
+        planted_edge_deltas(k4, model)
     with pytest.raises(BudgetExceededError):
-        planted_expectation(k4, model, budget=100)
+        planted_expectation(k4, model)
 
 
-def test_planted_empty_graph_is_a_closed_form(k3):
+def test_planted_empty_graph_is_a_closed_form(k3, monkeypatch):
     # only the empty subset contributes, and it enumerates nothing
-    got = planted_expectation(k3, PlantedModel(1000, 0.5, empty_graph(3)), budget=1)
+    monkeypatch.setattr(counting, "DEFAULT_PLANTED_BUDGET", 1)
+    got = planted_expectation(k3, PlantedModel(1000, 0.5, empty_graph(3)))
     assert got == pytest.approx(0.5**3 * math.comb(1000, 3), rel=1e-12)
+
+
+def test_orbit_table_is_capped():
+    """A table of more than MAX_ORBIT_MEMBERS members is refused before any
+    member is listed: K8's 2^28 subsets would exhaust memory, and K7's rooted
+    table holds 21 * 2^21 pairs."""
+    k8 = make_pattern(complete_graph(8))
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        planted_expectation(k8, PlantedModel(20, 0.1, complete_graph(8)))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(TooLargeError):
+        count_copies_through_edge(make_pattern(complete_graph(7)), complete_graph(7), (0, 1))
 
 
 def _disjoint_copies(pat, count):
@@ -362,8 +382,10 @@ def test_exact_probability_against_direct_enumeration(k3, c4):
 
 
 def test_exact_arrays_refuse_n8(k3):
+    listed = counting._kn_copies.cache_info().misses
     with pytest.raises(TooLargeError):
         copy_count_array(k3, 8)
+    assert counting._kn_copies.cache_info().misses == listed  # refused before listing
     with pytest.raises(TooLargeError):
         counting._popcounts(8)
     with pytest.raises(TooLargeError):

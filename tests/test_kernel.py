@@ -130,28 +130,36 @@ K3, C4, K4 = (PATTERNS[name] for name in ("k3", "c4", "k4"))
 
 # Smallest budget with which each call succeeds: the number of partial
 # assignments the kernel accepts, and that budget for the kernel that
-# enumerated every map before the plans broke the pattern's symmetry. The
-# order of enumeration may change; a boundary may fall, never rise, as the
+# enumerated every map before the plans broke the pattern's symmetry, with
+# the engine constant that opens the call's budget cell. The order of
+# enumeration may change; a boundary may fall, never rise, as the
 # symmetry-breaking conditions only remove candidates.
+MAP, PLANTED = "DEFAULT_MAP_BUDGET", "DEFAULT_PLANTED_BUDGET"
 BOUNDARY = {
-    "plain_k3_k6": (41, 156, lambda b: count_copies(K3, complete_graph(6), b)),
-    "plain_c4": (67, 192, lambda b: count_copies(C4, _gnp(11, 0.4, 1), b)),
-    "plain_k4": (97, 550, lambda b: count_copies(K4, _gnp(12, 0.6, 2), b)),
-    "automorphisms_k5": (325, 325, lambda b: count_automorphisms(complete_graph(5), b)),
-    "pinned_k4_k6": (10, 16, lambda b: count_copies_through_edge(
-        K4, complete_graph(6), (0, 1), b)),
-    "pinned_c4": (13, 13, lambda b: count_copies_through_edge(C4, _gnp(10, 0.5, 3), (0, 1), b)),
-    "planted_k3": (110, 186, lambda b: planted_expectation(
-        K3, PlantedModel(20, 0.1, _gnp(9, 0.5, 4)), b)),
-    "planted_c4_deltas": (505, 1212, lambda b: planted_edge_deltas(
-        C4, PlantedModel(15, 0.2, _gnp(8, 0.5, 5)), b)),
+    "plain_k3_k6": (41, 156, MAP, lambda: count_copies(K3, complete_graph(6))),
+    "plain_c4": (67, 192, MAP, lambda: count_copies(C4, _gnp(11, 0.4, 1))),
+    "plain_k4": (97, 550, MAP, lambda: count_copies(K4, _gnp(12, 0.6, 2))),
+    "automorphisms_k5": (325, 325, MAP, lambda: count_automorphisms(complete_graph(5))),
+    "pinned_k4_k6": (10, 16, MAP, lambda: count_copies_through_edge(
+        K4, complete_graph(6), (0, 1))),
+    "pinned_c4": (13, 13, MAP, lambda: count_copies_through_edge(C4, _gnp(10, 0.5, 3), (0, 1))),
+    "planted_k3": (110, 186, PLANTED, lambda: planted_expectation(
+        K3, PlantedModel(20, 0.1, _gnp(9, 0.5, 4)))),
+    "planted_c4_deltas": (505, 1212, PLANTED, lambda: planted_edge_deltas(
+        C4, PlantedModel(15, 0.2, _gnp(8, 0.5, 5)))),
 }
 
 
 @pytest.mark.parametrize("case", BOUNDARY)
-def test_budget_boundary(case):
-    budget, every_map, run = BOUNDARY[case]
+def test_budget_boundary(case, monkeypatch):
+    """The call succeeds with its engine constant patched to the boundary
+    and is refused one below it. It runs once at the default first, so
+    that a lowered limit refuses the call under test, not a plan build."""
+    budget, every_map, constant, run = BOUNDARY[case]
     assert budget <= every_map
-    run(budget)
+    run()
+    monkeypatch.setattr(counting, constant, budget)
+    run()
+    monkeypatch.setattr(counting, constant, budget - 1)
     with pytest.raises(BudgetExceededError):
-        run(budget - 1)
+        run()

@@ -551,6 +551,10 @@ def test_second_moment_bound_edge_cases(k3):
         second_moment_bound(make_pattern(cycle_graph(8)), 9, 0.5)
     with pytest.raises(DomainError):
         second_moment_bound(k3, 9, 1.5)
+    for m in (0, 2):  # no copy fits, as at p = 0
+        assert second_moment_bound(k3, m, 0.3) == 0.0
+    with pytest.raises(DomainError):
+        second_moment_bound(k3, -1, 0.3)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -81,6 +81,9 @@ def test_random_graph_generator_is_seeded():
     a = verify._random_graph(np.random.default_rng(9), 8)
     b = verify._random_graph(np.random.default_rng(9), 8)
     assert a == b
+    assert a.n == 8 and a.edges == (
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+        (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (5, 6), (5, 7))
 
 
 def test_replay_leaves_errors_inside_the_check_alone(monkeypatch):
