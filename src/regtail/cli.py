@@ -138,6 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
             t.add_argument(f"--{name}", type=spec[0], default=None, help=verify_mod.flag_help(spec))
         _add_common(t, "out")
         t.add_argument("--replay", default=None, help="file with one violation record to rerun")
+    for parsers in (sub, targets):  # the innermost parser a command reaches sets it last
+        for parser in parsers.choices.values():
+            parser.set_defaults(command_parser=parser)
     return top
 
 
@@ -337,8 +340,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # reported with the usage of the (sub)command that was run
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _HANDLERS[args.command](args)
     except (RegtailError, OSError, MemoryError) as exc:

@@ -62,24 +62,32 @@ K3, C4, K4 and K5 have 4, 6, 11 and 34 subset orbits (of 2^e(H)) and 4,
 8, 20 and 120 rooted orbits (of e(H) * 2^e(H) pairs).
 
 Exact probabilities for n <= 7 index every labeled graph by its row-major
-edge bitmask. Edge counts are the popcounts of the masks' high and low
-halves, summed by broadcasting. Every other array over the 2^C(n,2) masks
-comes from one subset closure: mark some masks, then for each edge slot let
-every mask with that bit set take in the entry of the mask without it. On
-bool entries this answers "contains a marked mask", on integers "how many
-marked masks". Copy counts mark the copies of the pattern in K_n. Both
-structural events mark the copy unions that one breadth-first search over
-distinct union masks reaches: the disjoint-copies event grows a union by the
-copies that share no vertex with it and marks the unions of s copies, the
+edge bitmask, but no array over the 2^C(n,2) masks is built. A graph's
+value under an event or a copy count is a subset closure: mark some masks,
+then for each edge slot let every mask with that bit set take in the entry
+of the mask without it, which answers "contains a marked mask" on bool
+entries and "how many marked masks" on integers. Vertex 0's star is the
+low n-1 bits of a mask and the bits above it are a mask over K_{n-1}, and
+relabelling vertices 1..n-1 shows that the histogram by (edge count,
+closure value) depends only on the star's size s. So it is the sum over s
+of C(n-1, s) times one closure over K_{n-1}, of the rests of the marks
+whose star lies in the first s star bits, binned by the rest's edge count
+plus s: n closures over 2^C(n-1,2) masks in place of one over 2^C(n,2).
+Copy counts mark the copies of the pattern in K_n. Both structural events
+mark the copy unions that one breadth-first search over distinct union
+masks reaches: the disjoint-copies event grows a union by the copies that
+share no vertex with it and marks the unions of s copies, the
 spanned-copies event grows it by the copies that touch it and marks the
-connected unions with enough copies. None of this depends on p: each pattern
-keeps a cached histogram of the graphs by (edge count, copy count), and each
-event one of its satisfying graphs by edge count, so a probability at a new
-p is one product with the weights p**m (1-p)**(C(n,2)-m). An event that
-only asks for at least k copies (CopiesAtLeast for any k, DisjointCopies
-with s <= 1, HasSpannedWithCopies with count <= 1) takes its histogram as
-the sum of the count histogram's columns k and up; only the other
-structural events build and bin an array of their own.
+connected unions with enough copies. None of this depends on p: each
+pattern keeps a cached histogram of the graphs by (edge count, copy count),
+and each event one of its satisfying graphs by edge count, so a probability
+at a new p is one product with the weights p**m (1-p)**(C(n,2)-m). An event
+that only asks for at least k copies (CopiesAtLeast for any k,
+DisjointCopies with s <= 1, HasSpannedWithCopies with count <= 1) takes its
+histogram as the sum of the count histogram's columns k and up; only the
+other structural events peel a closure of their own. The full arrays
+(copy_count_array, the events' mask_array) remain as the references the
+peeled histograms are tested against.
 """
 
 from __future__ import annotations
@@ -550,9 +558,9 @@ def edge_rooted_outside_sum(P: Pattern, model: PlantedModel, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact probabilities over all labeled graphs (n <= 7). The arrays over the
-# 2^C(n,2) masks and the histograms binned from them are built once per
-# process and returned read-only; only the weights depend on p.
+# Exact probabilities over all labeled graphs (n <= 7). The histograms are
+# peeled from closures over K_{n-1}, built once per process and returned
+# read-only; only the weights depend on p.
 # ---------------------------------------------------------------------------
 
 
@@ -571,17 +579,18 @@ def _edge_slots(n: int):
 @lru_cache(maxsize=32)
 def _kn_copies(P: Pattern, n: int):
     """All copies of the pattern inside the complete graph on n vertices,
-    as (bitmask, vertex frozenset) pairs."""
-    if n < P.q:
-        return ()
+    as two read-only int64 arrays: each copy's row-major edge mask, and the
+    mask of the pairs at its vertices (its vertex star)."""
     slots = _edge_slots(n)
-    out = []
-    for copy in iter_copies(P, complete_graph(n)):
-        mask = 0
-        for e in copy:
-            mask |= 1 << slots[e]
-        out.append((mask, frozenset(v for e in copy for v in e)))
-    return tuple(out)
+    masks, stars = [], []
+    for copy in iter_copies(P, complete_graph(n)) if n >= P.q else ():
+        vs = {v for e in copy for v in e}
+        masks.append(sum(1 << slots[e] for e in copy))
+        stars.append(sum(1 << b for e, b in slots.items() if vs.intersection(e)))
+    out = np.array(masks, dtype=np.int64), np.array(stars, dtype=np.int64)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _exact_slots(n: int) -> int:
@@ -635,12 +644,51 @@ def _popcounts(n: int):
     return pc
 
 
+def _peeled_histogram(n: int, marks: np.ndarray, dtype, width: int) -> np.ndarray:
+    """Read-only float histogram, (C(n,2)+1) x width, of the labeled graphs
+    on n vertices by (edge count, subset closure of the marks), peeled at
+    vertex 0 as the module docstring describes: for each star size s,
+    C(n-1, s) times the closure over K_{n-1} of the rests of the marks whose
+    star lies in the first s star bits. A count closure counts every copy,
+    since distinct copies keep distinct rests (a copy through vertex 0 joins
+    it to the rest's vertices of degree delta - 1, and delta >= 2)."""
+    m_slots = _exact_slots(n)
+    k = max(n - 1, 0)
+    star, rest = marks & ((1 << k) - 1), marks >> k
+    keys = _popcounts(k).astype(np.int64) * width
+    hist = np.zeros((m_slots + 1) * width, dtype=np.int64)
+    for s in range(k + 1):
+        closure = _subset_closure(k, rest[star >> s == 0], dtype)
+        hist += math.comb(k, s) * np.bincount(keys + closure + s * width, minlength=hist.size)
+    hist = hist.astype(np.float64).reshape(-1, width)
+    hist.setflags(write=False)
+    return hist
+
+
 @lru_cache(maxsize=32)
 def copy_count_array(P: Pattern, n: int) -> np.ndarray:
     """Pattern-copy count of every labeled graph on n vertices (n <= 7),
-    indexed by the row-major edge bitmask."""
+    indexed by the row-major edge bitmask: the full-array reference of the
+    count histogram."""
     _exact_slots(n)  # refuses n before K_n's copies are listed
-    return _subset_closure(n, [mask for mask, _ in _kn_copies(P, n)], np.uint16)
+    return _subset_closure(n, _kn_copies(P, n)[0], np.uint16)
+
+
+def mask_copy_counts(P: Pattern, n: int, masks: np.ndarray) -> np.ndarray:
+    """Copy count of each labeled graph on n vertices given by its int64
+    row-major edge bitmask: every copy mask of K_n is tested against all
+    the masks at once."""
+    out = np.zeros(masks.shape, dtype=np.int64)
+    for cm in _kn_copies(P, n)[0].tolist():
+        out += (masks & cm) == cm
+    return out
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a nonnegative array, sorted (np.unique would
+    import numpy.ma on its first call)."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) != 0]
 
 
 def _copy_unions(P: Pattern, n: int, count: int, disjoint: bool) -> np.ndarray:
@@ -652,33 +700,33 @@ def _copy_unions(P: Pattern, n: int, count: int, disjoint: bool) -> np.ndarray:
     every copy whose vertex star (the pairs at its vertices) meets U or, when
     disjoint, misses U, that is shares no vertex with U. A spanned U's copies
     lie in one overlap component, and growing through any component of G
-    reaches a union inside G with `count` copies. A visited array over the
-    2^C(n,2) masks holds the level at which each union was first reached
-    (d disjoint copies have d * e(H) edges, so level d), so each union grows
-    once and a level reads back sorted. A count <= 0 marks the empty graph.
+    reaches a union inside G with `count` copies; its copies are counted by
+    testing each copy mask. Each level is sorted, deduplicated and rid of
+    the unions reached before (a searchsorted against their sorted masks),
+    so each union grows once; d disjoint copies sit at level d. A count
+    <= 0 marks the empty graph.
     """
-    slots = _exact_slots(n)
+    _exact_slots(n)
     if count <= 0:
         return np.zeros(1, dtype=np.int64)
-    counts = None if disjoint else copy_count_array(P, n)
-    copies = _kn_copies(P, n)
-    masks = np.array([m for m, _ in copies], dtype=np.int64)
-    stars = np.array([sum(1 << b for e, b in _edge_slots(n).items() if vs.intersection(e))
-                      for _, vs in copies], dtype=np.int64)
-    depth = np.zeros(1 << slots, dtype=np.uint8)  # 0 marks a union not yet reached
-    depth[masks] = 1
-    rows = SPAN_CHUNK // max(1, len(copies))  # >= 1: K_7 holds at most 7! copies
-    level, found, d = masks, [masks[:0]], 1  # found stays one empty array if K_n has no copy
+    masks, stars = _kn_copies(P, n)
+    rows = SPAN_CHUNK // max(1, len(masks))  # >= 1: K_7 holds at most 7! copies
+    level = seen = np.sort(masks)
+    found, d = [masks[:0]], 1  # found stays one empty array if K_n has no copy
     while level.size:
-        done = np.full(level.size, d >= count) if disjoint else counts[level] >= count
+        done = (np.full(level.size, d >= count) if disjoint
+                else mask_copy_counts(P, n, level) >= count)
         found.append(level[done])
         level = level[~done]
+        grown = [masks[:0]]
         for start in range(0, level.size, rows):
             u = level[start:start + rows, None]
-            grown = (u | masks)[((u & stars) != 0) != disjoint]
-            depth[grown[depth[grown] == 0]] = d + 1
+            grown.append(_distinct((u | masks)[((u & stars) != 0) != disjoint]))
+        level = _distinct(np.concatenate(grown))
+        at = np.minimum(np.searchsorted(seen, level), seen.size - 1)
+        level = level[seen[at] != level]
+        seen = np.sort(np.concatenate((seen, level)))
         d += 1
-        level = np.flatnonzero(depth == d)
     return np.concatenate(found)
 
 
@@ -697,8 +745,11 @@ class DisjointCopies:
     pattern: Pattern
     s: int
 
+    def unions(self, n: int) -> np.ndarray:
+        return _copy_unions(self.pattern, n, self.s, disjoint=True)
+
     def mask_array(self, n: int) -> np.ndarray:
-        return _subset_closure(n, _copy_unions(self.pattern, n, self.s, disjoint=True), bool)
+        return _subset_closure(n, self.unions(n), bool)
 
 
 @dataclass(frozen=True)
@@ -709,8 +760,11 @@ class HasSpannedWithCopies:
     pattern: Pattern
     count: int
 
+    def unions(self, n: int) -> np.ndarray:
+        return _copy_unions(self.pattern, n, self.count, disjoint=False)
+
     def mask_array(self, n: int) -> np.ndarray:
-        return _subset_closure(n, _copy_unions(self.pattern, n, self.count, disjoint=False), bool)
+        return _subset_closure(n, self.unions(n), bool)
 
 
 def _weights_by_popcount(m_slots: int, p: float) -> np.ndarray:
@@ -730,21 +784,6 @@ def _weights_by_popcount(m_slots: int, p: float) -> np.ndarray:
     return w
 
 
-HIST_CHUNK = 1 << 12  # masks binned at a time: no int64 temporary over all 2^C(n,2)
-
-
-def _binned(n: int, size: int, keys) -> np.ndarray:
-    """Read-only float histogram of size bins over the labeled graphs on n
-    vertices: keys(s) gives the bins of the masks in the slice s, binned
-    HIST_CHUNK masks at a time. Every entry is an exact integer."""
-    hist = np.zeros(size, dtype=np.int64)
-    for start in range(0, 1 << n * (n - 1) // 2, HIST_CHUNK):
-        hist += np.bincount(keys(slice(start, start + HIST_CHUNK)), minlength=size)
-    hist = hist.astype(np.float64)
-    hist.setflags(write=False)
-    return hist
-
-
 def _copies_at_least(event):
     """The k for which the event is "at least k copies of its pattern", or
     None. One disjoint copy, or one connected union of a single copy, is just
@@ -762,17 +801,18 @@ def _copies_at_least(event):
 def _event_histogram(event, n: int) -> np.ndarray:
     """Number of labeled graphs on n vertices satisfying the event at each
     edge count 0..C(n,2). A copies-at-least event sums the columns k and up
-    of its pattern's count histogram, so it builds no array of its own; any
-    other event bins its mask array. Either way every entry is an exact
-    integer in float64. The event is a frozen dataclass, so it keys the
-    cache; a refused build (TooLargeError) raises and is not cached."""
+    of its pattern's count histogram, so it runs no closure of its own; any
+    other event peels the bool closure of its copy unions. Either way every
+    entry is an exact integer in float64. The event is a frozen dataclass,
+    so it keys the cache; a refused build (TooLargeError) raises and is not
+    cached."""
     k = _copies_at_least(event)
     if k is not None:
         hist = _count_histogram(event.pattern, n)[:, max(k, 0):].sum(axis=1)
-        hist.setflags(write=False)
-        return hist
-    pc, bits = _popcounts(n), event.mask_array(n)
-    return _binned(n, n * (n - 1) // 2 + 1, lambda s: pc[s][bits[s]])
+    else:
+        hist = _peeled_histogram(n, event.unions(n), bool, 2)[:, 1].copy()
+    hist.setflags(write=False)
+    return hist
 
 
 def exact_probability(model, pred) -> float:
@@ -787,12 +827,11 @@ def exact_probability(model, pred) -> float:
 @lru_cache(maxsize=32)
 def _count_histogram(P: Pattern, n: int) -> np.ndarray:
     """Number of labeled graphs on n vertices with each (edge count, copy
-    count) pair, as a read-only (C(n,2)+1) x (max copies+1) array."""
-    pc, counts = _popcounts(n), copy_count_array(P, n)
-    width = int(counts.max()) + 1
-    hist = _binned(n, (n * (n - 1) // 2 + 1) * width,
-                   lambda s: pc[s].astype(np.int64) * width + counts[s])
-    return hist.reshape(-1, width)
+    count) pair, as a read-only (C(n,2)+1) x (max copies+1) array: the
+    peeled count closure of K_n's copy masks."""
+    _exact_slots(n)  # refuses n before K_n's copies are listed
+    masks = _kn_copies(P, n)[0]
+    return _peeled_histogram(n, masks, np.uint16, len(masks) + 1)
 
 
 def tail_probability_table(P: Pattern, n: int, p: float) -> np.ndarray:

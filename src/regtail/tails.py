@@ -8,12 +8,11 @@ numbers regardless of how the workers are executed.
 
 Monte Carlo copy counts come from one batched engine. A worker's share is
 sampled in chunks of graphs as edge arrays. For n <= MAX_EXACT_N a graph's
-count is read from the exact copy count array at its edge bitmask, the
-array that fills the scan's exact column. For larger n every graph of a
-chunk is pruned at once in numpy to its largest subgraph of minimum
-degree delta with every edge in at least t(H) triangles, t(H) being the
-fewest triangles of the pattern through one of its edges (q - 2 for K_q,
-0 for C_q with q >= 4); every copy lies there. Edges in fewer triangles go
+count comes from its edge bitmask, tested against every copy mask of K_n.
+For larger n every graph of a chunk is pruned at once in numpy to its
+largest subgraph of minimum degree delta with every edge in at least t(H)
+triangles, t(H) being the fewest triangles of the pattern through one of
+its edges (q - 2 for K_q, 0 for C_q with q >= 4); every copy lies there. Edges in fewer triangles go
 first, before any delta-core peel. The core's connected components are
 then labeled by hook and shortcut. A component that is a single cycle
 holds one copy if the pattern is that cycle and none otherwise; the copy
@@ -37,9 +36,9 @@ from .bounds import tail_rate
 from .counting import (
     MAX_EXACT_N,
     CopiesAtLeast,
-    copy_count_array,
     count_copies,
     exact_probability,
+    mask_copy_counts,
     tail_probability_table,
 )
 from .cores import clique_seed_size
@@ -268,8 +267,10 @@ def _chunk_counts(P: Pattern, n: int, count: int, graph: np.ndarray,
 def _batch_counts(P: Pattern, n: int, p: float, count: int, rng) -> np.ndarray:
     """Copy counts of `count` G(n, p) graphs sampled as one batch.
 
-    For n <= MAX_EXACT_N each graph's count is read from the exact copy
-    count array at its row-major edge bitmask: the OR of bit
+    For n <= MAX_EXACT_N each graph's count is the number of copy masks of
+    K_n inside its row-major edge bitmask (`counting.mask_copy_counts`, a
+    pass over the batch per copy, so samples x copies work and no array
+    over the 2^C(n,2) masks). The bitmask is the OR of bit
     u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
     (exact in float64 up to 21 bits). Otherwise the counts come from the
     components of the graphs' cores (`_chunk_counts`).
@@ -278,7 +279,7 @@ def _batch_counts(P: Pattern, n: int, p: float, count: int, rng) -> np.ndarray:
     if n <= MAX_EXACT_N:
         bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
         masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
-        return copy_count_array(P, n)[masks].astype(np.int64)
+        return mask_copy_counts(P, n, masks)
     return _chunk_counts(P, n, count, graph, u, v)
 
 

@@ -402,6 +402,25 @@ def test_verify_flag_the_target_does_not_read_is_usage_error(argv, recorded_swee
     assert recorded_sweeps == []
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["verify", "bk", "--k", "3"], "usage: regtail verify bk [-h]"),
+    (["scan", "--pattern", "k3", "--n", "6", "--kmax", "3", "--bogus", "1"],
+     "usage: regtail scan [-h]"),
+])
+def test_unknown_flag_reports_the_subcommand_usage(argv, usage, recorded_sweeps, capsys):
+    # the leftover flags are reported by the parser of the command that was
+    # run, so its usage line shows the flags it takes; nothing runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0].startswith(usage)
+    command = "regtail " + " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    assert err.splitlines()[-1] == f"{command}: error: unrecognized arguments: {' '.join(argv[-2:])}"
+    assert recorded_sweeps == []
+
+
 def _fails(**fields):
     return lambda *args, **kwargs: SimpleNamespace(**fields)
 

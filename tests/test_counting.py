@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -508,12 +509,12 @@ def _clear_exact_caches():
 
 
 def _count_closures(monkeypatch):
-    """Record the dtype of every subset closure run from here on."""
+    """Record (n, dtype) of every subset closure run from here on."""
     dtypes = []
     closure = counting._subset_closure
 
     def counted(n, marked, dtype):
-        dtypes.append(dtype)
+        dtypes.append((n, dtype))
         return closure(n, marked, dtype)
 
     monkeypatch.setattr(counting, "_subset_closure", counted)
@@ -521,20 +522,21 @@ def _count_closures(monkeypatch):
 
 
 def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
-    """A cold verify bk runs the copy-count closure, which answers one
-    disjoint copy, and one closure for two disjoint copies, once per n and
-    not once per p. Later tail tables and copies-at-least probabilities at
-    new p values run no closure."""
+    """A cold verify bk peels the copy-count histogram, which answers one
+    disjoint copy, and the two-disjoint-copies histogram once per n and not
+    once per p: each runs one closure over K_6 per star size 0..6 of
+    vertex 0, and none over K_7. Later tail tables and copies-at-least
+    probabilities at new p values run no closure."""
     dtypes = _count_closures(monkeypatch)
     _clear_exact_caches()
     assert cli_main(["verify", "bk", "--n", "7"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert dtypes == [np.uint16, bool]
+    assert dtypes == [(6, np.uint16)] * 7 + [(6, bool)] * 7
     for p in (0.2, 0.3):
         tail_probability_table(k3, 7, p)
     for k in range(4):
         exact_probability(GnpModel(7, 0.25), CopiesAtLeast(k3, k))
-    assert len(dtypes) == 2
+    assert len(dtypes) == 14
     for p in (0.15, 0.3, 0.6):
         for kind, arg, pred in (("at_least", 2, CopiesAtLeast(k3, 2)),
                                 ("disjoint", 1, DisjointCopies(k3, 1))):
@@ -542,41 +544,58 @@ def test_exact_layer_builds_each_array_once(monkeypatch, k3, capsys):
             assert exact_probability(GnpModel(5, p), pred) == pytest.approx(want, rel=1e-9)
 
 
-def test_spanned_array_runs_two_closures(monkeypatch, c4):
-    """A cold spanned-copies array runs the pattern's copy-count closure,
-    then one bool closure over the unions its search marks."""
+def test_spanned_histogram_runs_no_count_closure(monkeypatch, c4):
+    """A cold spanned-copies histogram runs no copy-count closure (its
+    search counts a union's copies by testing each copy mask): one bool
+    closure over K_5 per star size 0..5 of vertex 0, once, and its
+    full-array reference one bool closure over K_6."""
     dtypes = _count_closures(monkeypatch)
     _clear_exact_caches()
-    HasSpannedWithCopies(c4, 3).mask_array(6)
-    assert dtypes == [np.uint16, bool]
+    event = HasSpannedWithCopies(c4, 3)
+    for p in (0.2, 0.4):
+        exact_probability(GnpModel(6, p), event)
+    assert dtypes == [(5, bool)] * 6
+    event.mask_array(6)
+    assert dtypes[6:] == [(6, bool)]
     with pytest.raises(TooLargeError):
-        HasSpannedWithCopies(c4, 3).mask_array(8)
+        event.mask_array(8)
 
 
 @pytest.mark.parametrize("pat", (_K3, _C4, _K4), ids=("k3", "c4", "k4"))
 def test_copies_at_least_histograms_match_their_arrays(monkeypatch, pat):
-    """Every copies-at-least event's histogram, taken from the count
-    histogram's columns, equals byte for byte the bincount of independent
-    popcounts over the event's own array, at n = 2..7 and for every k from
-    -1 to one above the most copies; with the count histogram cached, none
-    of these events runs a closure."""
+    """Every event's peeled histogram equals byte for byte the bincount of
+    independent popcounts over the event's full array, at n = 2..7: every
+    copies-at-least event (k from -1 to one above the most copies, s and
+    count from -1 to 1), which with the count histogram cached runs no
+    closure, and the structural events DisjointCopies with s = 2, 3 and
+    HasSpannedWithCopies with count = 2..4. The count histogram itself
+    equals the bincount of (popcount, copy count) over the full array."""
     for n in range(2, 8):
         m_slots = n * (n - 1) // 2
         masks = np.arange(1 << m_slots)
         pc = sum((masks >> b) & 1 for b in range(m_slots))
         counts = copy_count_array(pat, n)
-        arrays = [(CopiesAtLeast(pat, k), counts >= k) for k in range(-1, int(counts.max()) + 2)]
+        width = int(counts.max()) + 1
+        want = np.bincount(pc * width + counts, minlength=(m_slots + 1) * width)
+        counting._count_histogram.cache_clear()
+        assert counting._count_histogram(pat, n).tobytes() == \
+            want.astype(np.float64).reshape(-1, width).tobytes(), n
+        arrays = [(CopiesAtLeast(pat, k), counts >= k) for k in range(-1, width + 1)]
         arrays += [(DisjointCopies(pat, s), DisjointCopies(pat, s).mask_array(n))
                    for s in (-1, 0, 1)]
         arrays += [(HasSpannedWithCopies(pat, c), HasSpannedWithCopies(pat, c).mask_array(n))
                    for c in (-1, 0, 1)]
+        structural = [(DisjointCopies(pat, s), DisjointCopies(pat, s).mask_array(n))
+                      for s in (2, 3)]
+        structural += [(HasSpannedWithCopies(pat, c), HasSpannedWithCopies(pat, c).mask_array(n))
+                       for c in (2, 3, 4)]
         counting._event_histogram.cache_clear()
-        counting._count_histogram(pat, n)
         dtypes = _count_closures(monkeypatch)
-        for event, bits in arrays:
+        for i, (event, bits) in enumerate(arrays + structural):
+            if i == len(arrays):
+                assert dtypes == []  # the copies-at-least events so far
             want = np.bincount(pc[bits], minlength=m_slots + 1).astype(np.float64)
             assert counting._event_histogram(event, n).tobytes() == want.tobytes(), (event, n)
-        assert dtypes == []
         monkeypatch.undo()
 
 
@@ -623,6 +642,31 @@ def test_exact_budget_refusal_not_cached(monkeypatch, k3):
             exact_probability(GnpModel(8, 0.2), event)
         with pytest.raises(TooLargeError):
             event.mask_array(8)
+
+
+def test_exact_layer_allocates_no_array_over_the_masks(k3, capsys):
+    """With cold caches, n = 7 tail tables, structural-event histograms and
+    a scan's Monte Carlo allocate no array over the 2^21 masks of K_7:
+    tracemalloc, which sees numpy's buffers, peaks below 2 MiB, the size of
+    the smallest such array (the full arrays peak at 6 MiB and more). The
+    CLI is warmed at n = 5 first, so that its one-time allocations are not
+    counted."""
+    p = 1 / 7
+    scan = ["scan", "--pattern", "k3", "--kmax", "4", "--samples", "2000", "--format", "csv"]
+    assert cli_main(scan + ["--n", "5"]) == 0
+    for call in (lambda: tail_probability_table(k3, 7, p),
+                 lambda: exact_probability(GnpModel(7, p), DisjointCopies(k3, 2)),
+                 lambda: counting._event_histogram(HasSpannedWithCopies(k3, 2), 7),
+                 lambda: cli_main(scan + ["--n", "7"])):
+        _clear_exact_caches()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 21, peak
+    capsys.readouterr()
 
 
 def test_exact_probability_monotone_in_p(k3):

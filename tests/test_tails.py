@@ -9,9 +9,11 @@ from oracles import component_labels_oracle, triangle_support_oracle, truss_core
 
 from regtail import tails
 from regtail.bounds import tail_rate
+from regtail.cli import _load_pattern
 from regtail.counting import (
     MAX_EXACT_N,
     CopiesAtLeast,
+    copy_count_array,
     count_copies,
     exact_probability,
     tail_probability_table,
@@ -27,6 +29,7 @@ from regtail.graphs import (
     sample_gnp_batch,
     threshold_probability,
     worker_rng,
+    write_edge_list,
 )
 from regtail.tails import (
     CSV_HEADER,
@@ -127,6 +130,27 @@ def test_mc_counts_match_unpruned_kernel(name, n, seed):
     counts, want = _replay_unpruned(P, n, p, seed)
     assert counts == want
     assert sum(want) > 0
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+@pytest.mark.parametrize("name", ("k3", "c4", "k4", "@c5"))
+def test_mc_counts_at_exact_n_match_the_copy_count_array(name, n, tmp_path):
+    # up to MAX_EXACT_N each sampled graph's copies are counted by testing
+    # every copy mask of K_n: the counts equal the full copy-count array
+    # read at the graph's edge bitmask, ORed here bit by bit
+    if name.startswith("@"):
+        path = tmp_path / "c5.edges"
+        path.write_text(write_edge_list(cycle_graph(5)))
+        P = _load_pattern(f"@{path}")
+    else:
+        P = named_pattern(name)
+    p, count = 0.5, 400
+    graph, u, v = sample_gnp_batch(n, p, count, worker_rng(11, n))
+    masks = np.zeros(count, dtype=np.int64)
+    np.bitwise_or.at(masks, graph, np.left_shift(1, u * (2 * n - u - 1) // 2 + v - u - 1))
+    want = copy_count_array(P, n)[masks]
+    assert tails._batch_counts(P, n, p, count, worker_rng(11, n)).tolist() == want.tolist()
+    assert want.sum() > 0
 
 
 @pytest.mark.parametrize("name", ["k3", "c4"])
