@@ -14,14 +14,17 @@ component a ball around each root image, so that no mask grows with a
 large sparse component. A position's candidates are the AND of the
 neighbour masks of the images it is tied to, the frame's mask of vertices
 of large enough degree, and the complement of the images already placed.
-Without a leaf hook the last position is counted by popcount. It is the
-package's one injective-map recursion: an optional leaf hook sees every
-complete map the plan admits, which is how copies are listed and planted
-edges credited. The order in which maps are found follows the bit order,
-and no caller depends on it. Every public call opens one budget cell of
-partial assignments, set at call time to DEFAULT_MAP_BUDGET for a kernel
-call and to DEFAULT_PLANTED_BUDGET for a planted sum, whose subset terms
-all draw on it; an empty cell raises BudgetExceededError.
+The last position is counted by popcount. It is the package's one
+injective-map recursion: an optional leaf hook is handed each placed prefix
+with the last position's candidate mask, once per prefix and not once per
+map. Copies and automorphisms are listed by expanding the mask bit by bit;
+planted edges are credited with one add per edge of the prefix, by the
+popcount, and one per candidate for the edges at the last position. The
+order in which maps are found follows the bit order, and no caller depends
+on it. Every public call opens one budget cell of partial assignments, set
+at call time to DEFAULT_MAP_BUDGET for a kernel call and to
+DEFAULT_PLANTED_BUDGET for a planted sum, whose subset terms all draw on
+it; an empty cell raises BudgetExceededError.
 
 Each plan also breaks the symmetry of its planned edges (Grochow and
 Kellis, RECOMB 2007). Its group G holds the automorphisms of the edge set
@@ -169,7 +172,7 @@ class _Found(Exception):
     """Stops a kernel run at its first complete map."""
 
 
-def _found(images):
+def _found(images, mask, labels):
     raise _Found
 
 
@@ -232,7 +235,13 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
     one-element list holding the remaining budget of partial assignments;
     exhausting it raises BudgetExceededError, and passing one cell to
     several calls makes them draw on one budget. leaf, if given, is called
-    with the image list (indexed by plan position) of every complete map.
+    as leaf(images, mask, labels) once for each placed prefix of every
+    position but the last that the last position can complete: images
+    holds the prefix's images (indexed by plan position), mask the last
+    position's nonempty candidate mask, and the complete maps are the
+    prefix with labels[b] at the last position, for each bit b of mask.
+    Pins covering every position give a one-bit mask; a plan of no
+    positions has one map, the empty one, and calls no leaf.
 
     Candidates are bit masks over a frame of g's bit view. Each component of
     the planned edges is placed inside one frame, taken at its first
@@ -240,14 +249,16 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
     for the rest of the component. At a later position i the candidates are
     one AND: the frame's vertices of degree at least hdeg[i], the neighbour
     masks of the images in back[i], and the complement of the used bits.
-    Without a leaf the last position's candidates are counted by popcount,
-    a budget draw of as many assignments. The plan's symmetry conditions
+    The last position's candidates are counted by popcount, a budget draw
+    of as many assignments, leaf or not. The plan's symmetry conditions
     (Grochow and Kellis, RECOMB 2007) AND in, at position i, the bits above
     the image of each position in lower[i], so the count is of one map per
     orbit of the plan's group: the caller multiplies by its order, group.
     """
     order, back, hdeg, _, reach, lower, _ = plan
     npos = len(order)
+    if not npos:
+        return 1
     view = g._bit_view()
     images = [0] * npos
     nb = [0] * npos  # neighbour mask of each image in its frame
@@ -265,7 +276,7 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
             used |= 1 << b
     if len(pins) == npos:
         if leaf is not None:
-            leaf(images)
+            leaf(images, 1 << b, frame.labels)
         return 1
     last, penult = npos - 1, npos - 2
     tail = back[last]  # never empty: the last position's component has an edge
@@ -287,15 +298,17 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
             mask &= ~used
             if not mask:
                 continue
-            if i == last and leaf is None:
+            if i == last:
                 k = mask.bit_count()
                 state[0] -= k
                 if state[0] < 0:
                     raise BudgetExceededError("injective-map enumeration budget hit")
                 total += k
+                if leaf is not None:
+                    leaf(images, mask, frame.labels)
                 continue
             labels, nbr = frame.labels, frame.nbr
-            count_next = i == penult and leaf is None
+            count_next = i == penult
             if count_next:  # the last position shares the frame
                 need = frame.at_least[hdeg[last]]
             while mask:
@@ -306,10 +319,7 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
                     raise BudgetExceededError("injective-map enumeration budget hit")
                 b = low.bit_length() - 1
                 images[i], nb[i], above[i] = labels[b], nbr[b], -(low << 1)
-                if i == last:
-                    leaf(images)
-                    total += 1
-                elif count_next:
+                if count_next:
                     m = need & ~(used | low)
                     for j in tail:
                         m &= nb[j]
@@ -320,11 +330,23 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
                     if state[0] < 0:
                         raise BudgetExceededError("injective-map enumeration budget hit")
                     total += k
+                    if leaf is not None and k:
+                        leaf(images, m, labels)
                 else:
                     total += rec(i + 1, frame, used | low)
         return total
 
     return rec(len(pins), frame, used)
+
+
+def _complete_maps(images, mask, labels):
+    """The complete maps of one leaf call, one per bit of mask: images with
+    its last entry set to that bit's label (the same list each time)."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        images[-1] = labels[low.bit_length() - 1]
+        yield images
 
 
 def count_injective_homs(P: Pattern, g: SimpleGraph) -> int:
@@ -359,9 +381,10 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
     slot = {e: i for i, e in enumerate(edges)}
     autos = []  # per automorphism: vertex images, and edge slot images
 
-    def leaf(images):
-        s = dict(zip(order, images))
-        autos.append((s, [slot[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges]))
+    def leaf(images, mask, labels):
+        for full in _complete_maps(images, mask, labels):
+            s = dict(zip(order, full))
+            autos.append((s, [slot[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges]))
 
     _count_maps(plan, h, (), [DEFAULT_MAP_BUDGET], leaf)
     every = range(1 << len(edges))
@@ -409,11 +432,12 @@ def iter_copies(P: Pattern, g: SimpleGraph):
     epos = plan[3]
     out = []
 
-    def leaf(images):
-        out.append(frozenset(
-            (images[i], images[j]) if images[i] < images[j] else (images[j], images[i])
-            for i, j in epos
-        ))
+    def leaf(images, mask, labels):
+        for full in _complete_maps(images, mask, labels):
+            out.append(frozenset(
+                (full[i], full[j]) if full[i] < full[j] else (full[j], full[i])
+                for i, j in epos
+            ))
 
     _count_maps(plan, g, (), [DEFAULT_MAP_BUDGET], leaf)
     return sorted(out, key=sorted)
@@ -455,6 +479,23 @@ class PlantedModel:
             )
 
 
+@lru_cache(maxsize=64)
+def _planted_terms(h: SimpleGraph, rooted: bool):
+    """The terms of a planted sum over h's subset orbits (rooted or not),
+    one per orbit: (plan, |T|, t_T, orbit size, group, inner, ends), where
+    inner lists the position pairs of T's edges away from the plan's last
+    position and ends the other end of each edge at it."""
+    terms = []
+    for pins, bits, size in _orbit_table(h, rooted):
+        subset = tuple(e for i, e in enumerate(h.edges) if bits >> i & 1)
+        plan = _plan(h, subset, pins)
+        last = len(plan[0]) - 1
+        inner = tuple((i, j) for i, j in plan[3] if last not in (i, j))
+        ends = tuple(i + j - last for i, j in plan[3] if last in (i, j))
+        terms.append((plan, len(subset), len(plan[0]), size, plan[6], inner, ends))
+    return tuple(terms)
+
+
 def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) -> float:
     """The subset expansion of the module docstring: the sum over edge
     subsets T of the pattern of w_T * N_T, one kernel run per Aut(H)-orbit
@@ -463,30 +504,36 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
     root = f, a planted edge, sums over the rooted orbits instead: the arc
     pinned onto f lowers the power of (1-p) by one, which sums the copies
     through f. credits, a dict over the planted edges, receives w_T for
-    every map of T and every edge of T, at the edge's image. All kernel
-    runs draw on the one budget cell `state`.
+    every map of T and every edge of T, at the edge's image: a leaf call
+    credits the edges away from the last position once for each of its
+    maps, and those at it once per candidate. All kernel runs draw on the
+    one budget cell `state`.
     """
     p, n, q = model.p, model.n, P.q
-    pedges = P.graph.edges
-    e_h = len(pedges)
+    e_h = P.edge_count
     rooted = bool(root)
     total = 0.0
-    for pins, bits, size in _orbit_table(P.graph, rooted):
-        subset = tuple(pedges[i] for i in range(e_h) if bits >> i & 1)
-        plan = _plan(P.graph, subset, pins)
-        k, t = len(subset), len(plan[0])
+    for plan, k, t, size, group, inner, ends in _planted_terms(P.graph, rooted):
         weight = size * p ** (e_h - k) * (1.0 - p) ** (k - rooted)
         weight *= math.perm(n - t, q - t)
-        group = plan[6]  # integer scaling first, so each float sees the full map count
+        # integer scaling first, so each float sees the full map count
         if credits is None:
             total += weight * (group * _count_maps(plan, model.planted, root, state))
             continue
         tally = {}  # image pair -> maps crediting it; a plain dict is fastest here
 
-        def leaf(images, epos=plan[3], tally=tally):
-            for i, j in epos:
+        def leaf(images, mask, labels, inner=inner, ends=ends, tally=tally):
+            maps = mask.bit_count()
+            for i, j in inner:
                 key = images[i], images[j]
-                tally[key] = tally.get(key, 0) + 1
+                tally[key] = tally.get(key, 0) + maps
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                w = labels[low.bit_length() - 1]
+                for i in ends:
+                    key = images[i], w
+                    tally[key] = tally.get(key, 0) + 1
 
         total += weight * (group * _count_maps(plan, model.planted, root, state, leaf))
         per_edge = {}  # both arcs' tallies in one integer, so leaf order cannot round

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -509,14 +510,20 @@ def worker_rng(seed: int, worker: int) -> np.random.Generator:
 
 
 # Named patterns used throughout the CLI and tests.
+_NAMED_GRAPHS = {"k3": (complete_graph, 3), "c4": (cycle_graph, 4),
+                 "k4": (complete_graph, 4), "k5": (complete_graph, 5)}
+
+
 def named_pattern(name: str) -> Pattern:
+    """The pattern of a name in _NAMED_GRAPHS, in any case, built and
+    validated once per process; any other name raises DomainError."""
     name = name.lower()
-    if name == "k3":
-        return make_pattern(complete_graph(3))
-    if name == "c4":
-        return make_pattern(cycle_graph(4))
-    if name == "k4":
-        return make_pattern(complete_graph(4))
-    if name == "k5":
-        return make_pattern(complete_graph(5))
-    raise DomainError(f"unknown pattern name {name!r} (use k3, c4, k4 or k5)")
+    if name not in _NAMED_GRAPHS:
+        raise DomainError(f"unknown pattern name {name!r} (use k3, c4, k4 or k5)")
+    return _named_pattern(name)
+
+
+@lru_cache(maxsize=None)
+def _named_pattern(name: str) -> Pattern:
+    build, n = _NAMED_GRAPHS[name]
+    return make_pattern(build(n))

@@ -105,6 +105,22 @@ def test_pattern_edge_triangles(name, g, t):
         assert named_pattern(name).edge_triangles == t
 
 
+def test_named_patterns_are_built_once(monkeypatch):
+    """A named pattern is built once per process, whatever the case of its
+    name; an unknown name is refused on every call."""
+    import regtail.counting
+
+    names = ("k3", "c4", "k4", "k5")
+    want = {name: named_pattern(name) for name in names}
+    monkeypatch.setattr(regtail.counting, "count_automorphisms", None)  # a build would fail
+    for name in names:
+        assert named_pattern(name) is want[name]
+        assert named_pattern(name.upper()) is want[name]
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            named_pattern("k6")
+
+
 def test_threshold_probability():
     assert threshold_probability(100, 2) == pytest.approx(0.01)
     assert threshold_probability(16, 4) == pytest.approx(0.25)

@@ -4,7 +4,7 @@ with the cached frame of each component, and with ball frames, which the
 kernel gets for components above graphs.MAX_FRAME vertices."""
 
 import dataclasses
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -163,3 +163,103 @@ def test_budget_boundary(case, monkeypatch):
     monkeypatch.setattr(counting, constant, budget - 1)
     with pytest.raises(BudgetExceededError):
         run()
+
+
+def _listed(plan, g, root):
+    """The complete maps of a leaf run, each leaf call's mask expanded bit
+    by bit, with the run's count, its budget cell and the leaf's calls."""
+    maps, calls = [], []
+
+    def leaf(images, mask, labels):
+        calls.append(mask)
+        maps.extend(tuple(images[:-1]) + (labels[b],)
+                    for b in range(len(labels)) if mask >> b & 1)
+
+    state = [10**9]
+    count = counting._count_maps(plan, g, root, state, leaf)
+    return maps, count, state, calls
+
+
+def _plan_group(order, subset, pins):
+    """The permutations of the planned vertices that keep the planned edges,
+    fix every pin and map each component onto itself, as vertex dicts."""
+    edges = {frozenset(e) for e in subset}
+    free = [v for v in order if v not in pins]
+    group = []
+    for perm in permutations(free):
+        s = dict(zip(free, perm)) | {v: v for v in pins}
+        if {frozenset((s[u], s[v])) for u, v in subset} == edges \
+                and _same_components(s, subset):
+            group.append(s)
+    return group
+
+
+def _same_components(s, subset):
+    """Whether the vertex permutation s maps each component of the edge
+    set onto itself."""
+    label = {}
+    for u, v in subset:
+        a, b = label.setdefault(u, u), label.setdefault(v, v)
+        if a != b:
+            label = {x: (a if y == b else y) for x, y in label.items()}
+    return all(label[s[v]] == label[v] for v in label)
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_batched_leaf_lists_one_map_per_group_orbit(name):
+    """Each leaf call's mask, expanded bit by bit, lists the maps of the
+    plan: the maps of the unbroken _greedy_order plan divided by the plan's
+    group, for every orbit plan of the pattern, unpinned (down to the empty
+    subset, whose one map is the empty one and calls no leaf) and pinned
+    onto host arcs (down to a one-edge subset whose pins cover every
+    position). A leaf run leaves the budget cell where a count run does."""
+    h = PATTERNS[name].graph
+    hosts = [_gnp(n, p, seed=n + int(10 * p)) for n, p in ((8, 0.6), (10, 0.4))]
+    for rooted in (False, True):
+        for pins, bits, _ in counting._orbit_table(h, rooted):
+            subset = tuple(e for i, e in enumerate(h.edges) if bits >> i & 1)
+            plan = counting._plan(h, subset, pins)
+            every = counting._greedy_order(h.n, subset, pins)
+            order = plan[0]
+            pos = {v: i for i, v in enumerate(order)}
+            group = [[pos[s[v]] for v in order] for s in _plan_group(order, subset, pins)]
+            assert len(group) == plan[6]
+            for g in hosts:
+                arcs = list(g.edges[::8]) + [(b, a) for a, b in g.edges[4::8]]
+                for root in arcs if rooted else [()]:
+                    maps, count, state, calls = _listed(plan, g, root)
+                    unbroken, _, _, _ = _listed(every, g, root)
+                    plain = [10**9]
+                    assert counting._count_maps(plan, g, root, plain) == count
+                    assert state == plain
+                    assert all(calls)
+                    if not order:
+                        assert (count, calls) == (1, [])
+                        continue
+                    assert len(maps) == len(set(maps)) == count
+                    assert len(unbroken) == plan[6] * count
+                    assert {tuple(m[j] for j in perm) for m in maps for perm in group} \
+                        == set(unbroken)
+
+
+def test_planted_credits_call_the_leaf_once_per_prefix(monkeypatch):
+    """planted_edge_deltas on a planted K_7 hands its leaf the last
+    position's candidates of each prefix: every map the kernel counts but
+    the empty subset's is credited, in fewer leaf calls than maps."""
+    model = PlantedModel(20, 0.3, complete_graph(7))
+    want = planted_edge_deltas(K4, model)  # builds the plans before the spy
+    kernel, calls, credited, counted = counting._count_maps, [], [], []
+
+    def spied(plan, g, pins, state, leaf=None):
+        def batched(images, mask, labels):
+            calls.append(mask)
+            credited.append(mask.bit_count())
+            leaf(images, mask, labels)
+
+        counted.append(kernel(plan, g, pins, state, batched if leaf else None))
+        return counted[-1]
+
+    monkeypatch.setattr(counting, "_count_maps", spied)
+    assert planted_edge_deltas(K4, model) == want
+    assert sum(credited) == sum(counted) - 1  # the empty subset's map credits nothing
+    assert len(calls) < sum(credited)
