@@ -510,6 +510,8 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
     one budget cell `state`.
     """
     p, n, q = model.p, model.n, P.q
+    if n < q:
+        return 0.0  # no copy fits: each term has t_T > n or no room for the rest
     e_h = P.edge_count
     rooted = bool(root)
     total = 0.0
@@ -721,12 +723,25 @@ def copy_count_array(P: Pattern, n: int) -> np.ndarray:
     return _subset_closure(n, _kn_copies(P, n)[0], np.uint16)
 
 
+def _mask_dtypes(n: int, copies: int):
+    """The narrowest signed dtypes that hold a row-major edge mask of K_n
+    and a count of up to `copies` copies: int32 masks while C(n,2) <= 31,
+    int64 above."""
+    def holding(top):
+        return next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    return holding((1 << n * (n - 1) // 2) - 1), holding(copies)
+
+
 def mask_copy_counts(P: Pattern, n: int, masks: np.ndarray) -> np.ndarray:
-    """Copy count of each labeled graph on n vertices given by its int64
+    """Copy count of each labeled graph on n vertices given by its
     row-major edge bitmask: every copy mask of K_n is tested against all
-    the masks at once."""
-    out = np.zeros(masks.shape, dtype=np.int64)
-    for cm in _kn_copies(P, n)[0].tolist():
+    the masks at once, on the narrowest dtypes that hold the masks and the
+    counts (`_mask_dtypes`: int32 masks and int16 counts at n = 7)."""
+    copies = _kn_copies(P, n)[0]
+    mask_dtype, count_dtype = _mask_dtypes(n, len(copies))
+    masks = masks.astype(mask_dtype, copy=False)
+    out = np.zeros(masks.shape, dtype=count_dtype)
+    for cm in copies.tolist():
         out += (masks & cm) == cm
     return out
 

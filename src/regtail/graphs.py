@@ -411,12 +411,13 @@ def _slot_pairs(n: int, slots: np.ndarray):
     return n - 2 - k, n - 1 - (t - tri)
 
 
-def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
-    """Edges of `count` independent G(n, p) samples as arrays (graph, u, v).
+def sample_gnp_slots(n: int, p: float, count: int, rng: np.random.Generator):
+    """Edges of `count` independent G(n, p) samples as arrays (graph, slot).
 
-    Edge i joins u[i] < v[i] in graph graph[i], 0 <= graph[i] < count; the
-    arrays are sorted by graph, then by (u, v). Time and memory are
-    proportional to the number of edges drawn.
+    Edge i sits in graph graph[i], 0 <= graph[i] < count, at row-major slot
+    slot[i] of K_n: slot u*(2n-u-1)/2 + v-u-1 for the pair u < v. The arrays
+    are sorted by graph, then by slot. Time and memory are proportional to
+    the number of edges drawn.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
@@ -424,8 +425,19 @@ def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
         raise DomainError(f"n and count must be nonnegative, got n={n}, count={count}")
     m = n * (n - 1) // 2
     if m * count == 0 or p == 0.0:
-        return (np.empty(0, dtype=np.int64),) * 3
-    graph, slot = np.divmod(_bernoulli_hits(m * count, p, rng), m)
+        return (np.empty(0, dtype=np.int64),) * 2
+    return np.divmod(_bernoulli_hits(m * count, p, rng), m)
+
+
+def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
+    """Edges of `count` independent G(n, p) samples as arrays (graph, u, v):
+    `sample_gnp_slots` with each slot decoded by `_slot_pairs`, from the
+    same draws.
+
+    Edge i joins u[i] < v[i] in graph graph[i]; the arrays are sorted by
+    graph, then by (u, v).
+    """
+    graph, slot = sample_gnp_slots(n, p, count, rng)
     u, v = _slot_pairs(n, slot)
     return graph, u, v
 

@@ -8,15 +8,19 @@ numbers regardless of how the workers are executed.
 
 Monte Carlo copy counts come from one batched engine. A worker's share is
 sampled in chunks of graphs as edge arrays. For n <= MAX_EXACT_N a graph's
-count comes from its edge bitmask, tested against every copy mask of K_n.
-For larger n every graph of a chunk is pruned at once in numpy to its
+count comes from its edge bitmask, summed from the sampled row-major slots
+without decoding them into pairs, and tested against every copy mask of
+K_n. For larger n every graph of a chunk is pruned at once in numpy to its
 largest subgraph of minimum degree delta with every edge in at least t(H)
 triangles, t(H) being the fewest triangles of the pattern through one of
-its edges (q - 2 for K_q, 0 for C_q with q >= 4); every copy lies there. Edges in fewer triangles go
-first, before any delta-core peel. The core's connected components are
-then labeled by hook and shortcut. A component that is a single cycle
-holds one copy if the pattern is that cycle and none otherwise; the copy
-kernel runs only on the complex components (more edges than vertices).
+its edges (q - 2 for K_q, 0 for C_q with q >= 4); every copy lies there.
+Edges in fewer triangles go first, before any delta-core peel; a chunk of
+mean degree below delta (K3 near p = 1/n) first loses the edges at its
+vertices of degree below delta, so the triangle count sees about 40% of
+them. The core's connected components are then labeled by hook and
+shortcut. A component that is a single cycle holds one copy if the pattern
+is that cycle and none otherwise; the copy kernel runs only on the complex
+components (more edges than vertices).
 Near the threshold p = n**(-2/delta) most samples are sparse, and most
 nonempty cores are disjoint cycles (or, after the truss prune, empty), so
 the cost follows the edges drawn rather than the C(n, 2) vertex pairs.
@@ -53,6 +57,7 @@ from .graphs import (
     Pattern,
     SimpleGraph,
     sample_gnp_batch,
+    sample_gnp_slots,
     threshold_probability,
     worker_rng,
 )
@@ -122,12 +127,20 @@ def _core_edges(a: np.ndarray, b: np.ndarray, size: int, delta: int, triangles: 
     removals reaches it). Edges in fewer triangles (`triangle_support`) go
     first, which leaves a sparse graph few edges to peel; then the
     delta-core peel, a layer of low-degree vertices a round, and that prune
-    alternate until neither drops an edge.
+    alternate until neither drops an edge. With triangles >= 1, a graph of
+    mean degree 2m/size below delta first loses the edges at a vertex of
+    degree below delta, one round without relabelling: K3 near p = 1/n
+    keeps about 40% of its edges for the support count, while K4 and K5 at
+    their thresholds, of mean degree above delta, skip the round.
 
     Returns the kept edges' indices, their endpoints relabeled compactly (in
     input order) onto the kept edges' endpoints, and the number of labels.
     """
     idx, before = np.arange(len(a)), -1
+    if triangles and 2 * len(a) < delta * size:
+        alive = np.bincount(np.concatenate((a, b)), minlength=size) >= delta
+        held = np.flatnonzero(alive[a] & alive[b])
+        a, b, idx = a[held], b[held], held
     while len(idx) != before:
         before = len(idx)
         if triangles:
@@ -270,17 +283,17 @@ def _batch_counts(P: Pattern, n: int, p: float, count: int, rng) -> np.ndarray:
     For n <= MAX_EXACT_N each graph's count is the number of copy masks of
     K_n inside its row-major edge bitmask (`counting.mask_copy_counts`, a
     pass over the batch per copy, so samples x copies work and no array
-    over the 2^C(n,2) masks). The bitmask is the OR of bit
-    u*(2n-u-1)/2 + v-u-1 over its edges, summed as distinct powers of two
-    (exact in float64 up to 21 bits). Otherwise the counts come from the
-    components of the graphs' cores (`_chunk_counts`).
+    over the 2^C(n,2) masks). A sampled slot is its edge's bit, so the
+    bitmask is the sum of 2**slot over its edges: distinct powers of two,
+    exact in float64 while C(n, 2) <= 53, and no slot is decoded into its
+    pair. Otherwise the counts come from the components of the graphs'
+    cores (`_chunk_counts`).
     """
-    graph, u, v = sample_gnp_batch(n, p, count, rng)
     if n <= MAX_EXACT_N:
-        bits = np.ldexp(1.0, u * (2 * n - u - 1) // 2 + v - u - 1)
-        masks = np.bincount(graph, weights=bits, minlength=count).astype(np.int64)
-        return mask_copy_counts(P, n, masks)
-    return _chunk_counts(P, n, count, graph, u, v)
+        graph, slot = sample_gnp_slots(n, p, count, rng)
+        masks = np.bincount(graph, weights=np.ldexp(1.0, slot), minlength=count)
+        return mask_copy_counts(P, n, masks.astype(np.int64))
+    return _chunk_counts(P, n, count, *sample_gnp_batch(n, p, count, rng))
 
 
 def _mc_counts(P: Pattern, model: GnpModel, samples: int, workers: int = 1) -> np.ndarray:

@@ -89,6 +89,18 @@ def test_core_k4_beyond_the_old_n_power_guard(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "Core"
 
 
+def test_core_pattern_larger_than_n(tmp_path, capsys):
+    # a K5 among n = 4 labels has no copy: every edge peels, with no error
+    path = tmp_path / "K4.edges"
+    path.write_text(write_edge_list(complete_graph(4)))
+    rc = main(["core", "--pattern", "k5", "--graph", f"@{path}", "--n", "4", "--k", "1",
+               "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == ""
+    assert json.loads(out)["verdict"] == "Empty"
+
+
 def test_core_k8_orbit_table_is_refused(tmp_path, capsys):
     # K8's planted sums would list 2^28 edge subsets: refused, not killed for memory
     path = tmp_path / "k8.edges"

@@ -19,6 +19,7 @@ from oracles import (
     subset_copy_count,
 )
 from regtail import counting
+from regtail.cli import _load_pattern
 from regtail.cli import main as cli_main
 from regtail.counting import (
     CopiesAtLeast,
@@ -44,9 +45,11 @@ from regtail.graphs import (
     GnpModel,
     SimpleGraph,
     complete_graph,
+    cycle_graph,
     empty_graph,
     make_pattern,
     named_pattern,
+    write_edge_list,
 )
 from regtail.verify import sweep_peel
 
@@ -699,3 +702,49 @@ def test_planted_model_validation():
         PlantedModel(5, 0.0, empty_graph(5))
     with pytest.raises(DomainError):
         PlantedModel(3, 0.5, empty_graph(5))
+
+
+def test_planted_sums_vanish_below_the_pattern_size(k5):
+    # a K5 has no copy among n = 4 labels: subset terms on more than 4
+    # vertices have no maps and are skipped, the rest carry a zero weight
+    model = PlantedModel(4, 0.3, complete_graph(4))
+    assert planted_expectation(k5, model) == 0.0
+    assert edge_rooted_expectation(k5, model, (0, 1)) == 0.0
+    expectation, deltas = planted_edge_deltas(k5, model)
+    assert expectation == 0.0
+    assert list(deltas.values()) == [0.0] * 6
+
+
+def _int64_copy_counts(P, n, masks):
+    """Copy counts of int64 masks, one int64 pass per copy mask of K_n."""
+    out = np.zeros(masks.shape, dtype=np.int64)
+    for cm in counting._kn_copies(P, n)[0].tolist():
+        out += (masks.astype(np.int64) & cm) == cm
+    return out
+
+
+def test_mask_copy_counts_match_an_int64_reference(tmp_path):
+    # C7 has 360 copies in K7: int32 masks and int16 counts, on random
+    # masks and the all-ones mask of K7
+    path = tmp_path / "c7.edges"
+    path.write_text(write_edge_list(cycle_graph(7)))
+    P = _load_pattern(f"@{path}")
+    assert len(counting._kn_copies(P, 7)[0]) == 360
+    full = (1 << 21) - 1
+    masks = np.append(np.random.default_rng(7).integers(0, 1 << 21, 2000), full)
+    masks |= np.random.default_rng(8).integers(0, 1 << 21, masks.size)  # denser graphs
+    got = counting.mask_copy_counts(P, 7, masks)
+    assert got.dtype == np.int16
+    assert got.tolist() == _int64_copy_counts(P, 7, masks).tolist()
+    assert got[-1] == 360 and got[:-1].max() > 0
+    k3 = named_pattern("k3")
+    assert counting.mask_copy_counts(k3, 7, np.array([full])).tolist() == [35]
+
+
+def test_mask_dtypes_follow_the_slots_and_the_copies():
+    # int32 holds masks of up to 31 bits: C(8, 2) = 28 fits, C(9, 2) = 36 does not
+    assert counting._mask_dtypes(7, 360) == (np.int32, np.int16)
+    assert counting._mask_dtypes(8, 20160)[0] is np.int32
+    assert counting._mask_dtypes(9, 20160) == (np.int64, np.int16)
+    assert counting._mask_dtypes(5, 15)[0] is np.int16
+    assert counting._mask_dtypes(9, 1 << 15)[1] is np.int32

@@ -24,6 +24,7 @@ from regtail.graphs import (
     read_edge_list,
     sample_gnp,
     sample_gnp_batch,
+    sample_gnp_slots,
     sample_gnp_with,
     thin_edges,
     threshold_probability,
@@ -192,6 +193,31 @@ def test_batch_endpoints_and_empty_cases():
     assert sample_gnp_batch(2, 1.0, 2, rng)[0].tolist() == [0, 1]
     with pytest.raises(DomainError):
         sample_gnp_batch(5, 1.5, 1, rng)
+
+
+@pytest.mark.parametrize("n,p,count", [
+    (5, 0.3, 200), (7, 0.5, 50), (30, 0.05, 7), (400, 1 / 400, 3),
+    (6, 1.0, 3), (2, 1.0, 2), (6, 0.0, 3), (5, 1e-300, 1), (2, 0.5, 0), (0, 0.5, 0), (1, 1.0, 4),
+])
+def test_batch_is_slots_decoded(n, p, count):
+    # the same draws: the batch sampler's pairs are the decoded slots,
+    # empty cases included
+    graph, slot = sample_gnp_slots(n, p, count, worker_rng(5, n))
+    assert np.all(np.diff(graph * n * n + slot) > 0)  # sorted by graph, then slot
+    want = (graph, *_slot_pairs(n, slot))
+    got = sample_gnp_batch(n, p, count, worker_rng(5, n))
+    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
+    if p == 1.0:
+        assert slot.tolist() == list(range(n * (n - 1) // 2)) * count
+    # the first gap at p = 1e-300 saturates and lands past the end
+    assert (len(slot) == 0) == (p < 1e-200 or n * (n - 1) * count == 0)
+
+
+@pytest.mark.parametrize("sample", [sample_gnp_slots, sample_gnp_batch])
+@pytest.mark.parametrize("n,p,count", [(5, -0.1, 1), (5, 1.5, 1), (-1, 0.5, 1), (5, 0.5, -1)])
+def test_samplers_refuse_bad_input(sample, n, p, count):
+    with pytest.raises(DomainError):
+        sample(n, p, count, worker_rng(0, 0))
 
 
 def test_slot_pairs_row_major():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import component_labels_oracle, triangle_support_oracle, truss_core_oracle
 
-from regtail import tails
+from regtail import graphs, tails
 from regtail.bounds import tail_rate
 from regtail.cli import _load_pattern
 from regtail.counting import (
@@ -151,6 +151,22 @@ def test_mc_counts_at_exact_n_match_the_copy_count_array(name, n, tmp_path):
     want = copy_count_array(P, n)[masks]
     assert tails._batch_counts(P, n, p, count, worker_rng(11, n)).tolist() == want.tolist()
     assert want.sum() > 0
+
+
+@pytest.mark.parametrize("n", range(2, MAX_EXACT_N + 1))
+def test_batch_counts_at_exact_n_decode_no_slot(n, monkeypatch):
+    # up to MAX_EXACT_N a sampled slot is its edge's bit: the masks are
+    # built from the slots and no slot is decoded into its pair
+    P = named_pattern("k3")
+    want = tails._batch_counts(P, n, 0.5, 300, worker_rng(2, n))
+
+    def refuse(*args):
+        raise AssertionError("a slot was decoded")
+
+    monkeypatch.setattr(graphs, "_slot_pairs", refuse)
+    assert tails._batch_counts(P, n, 0.5, 300, worker_rng(2, n)).tolist() == want.tolist()
+    with pytest.raises(AssertionError):
+        tails._batch_counts(P, MAX_EXACT_N + 1, 0.5, 3, worker_rng(2, n))
 
 
 @pytest.mark.parametrize("name", ["k3", "c4"])
@@ -315,13 +331,53 @@ def _assert_keeps_truss_core(P, n, graph, u, v, monkeypatch):
 @pytest.mark.parametrize("n", [30, 400])
 @pytest.mark.parametrize("name", ["k3", "k4", "k5"])
 def test_chunk_counts_keep_the_truss_core(name, n, scale, monkeypatch):
-    # the truss prune runs before any peel, then the two alternate; any
-    # order of removals reaches the one largest subgraph with degree >=
-    # delta and every edge in >= t(H) triangles
+    # a degree round (when the chunk's mean degree is below delta), the
+    # truss prune and the delta-core peel, alternated: any order of
+    # removals reaches the one largest subgraph with degree >= delta and
+    # every edge in >= t(H) triangles
     P = named_pattern(name)
     p = scale * threshold_probability(n, P.delta)
     graph, u, v = sample_gnp_batch(n, p, min(4, _chunk_graphs(n, p)), worker_rng(7, n))
     _assert_keeps_truss_core(P, n, graph, u, v, monkeypatch)
+
+
+def _first_support_call(name, n, monkeypatch):
+    """The chunk degrees and edges of a threshold chunk of the pattern at
+    n, and the edges of the first `triangle_support` call that `_core_edges`
+    makes on it."""
+    P = named_pattern(name)
+    p = threshold_probability(n, P.delta)
+    count = _chunk_graphs(n, p)
+    graph, u, v = sample_gnp_batch(n, p, count, worker_rng(4, n))
+    a, b, size = graph * n + u, graph * n + v, count * n
+    seen = []
+
+    def spy(x, y, labels):
+        seen.append((x, y))
+        return triangle_support(x, y, labels)
+
+    monkeypatch.setattr(tails, "triangle_support", spy)
+    _core_edges(a, b, size, P.delta, P.edge_triangles)
+    return np.bincount(np.concatenate((a, b)), minlength=size), a, b, seen[0]
+
+
+def test_degree_round_drops_low_degree_edges_before_the_k3_support(monkeypatch):
+    # K3 at its threshold has mean degree about 1 < delta = 2: the first
+    # support count sees no edge at a vertex of chunk degree below 2
+    deg, a, b, (x, y) = _first_support_call("k3", 400, monkeypatch)
+    assert 2 * len(a) < 2 * len(deg)
+    assert len(x) and np.all(deg[x] >= 2) and np.all(deg[y] >= 2)
+    low = (deg[a] < 2) | (deg[b] < 2)
+    assert len(x) == len(a) - low.sum()
+
+
+@pytest.mark.parametrize("name", ["k4", "k5"])
+def test_degree_round_is_skipped_above_mean_degree_delta(name, monkeypatch):
+    # K4 and K5 at their thresholds have mean degree above delta: the first
+    # support count gets the raw chunk
+    deg, a, b, (x, y) = _first_support_call(name, 400, monkeypatch)
+    assert 2 * len(a) >= named_pattern(name).delta * len(deg)
+    assert np.array_equal(x, a) and np.array_equal(y, b)
 
 
 @pytest.mark.parametrize("name", ["k3", "c4", "k4", "k5"])
