@@ -36,8 +36,9 @@ and since a frame's bits follow its sorted labels, each condition is one
 more AND with the bits above i's image. The kernel thus finds each copy
 once instead of |Aut| times, and every caller multiplies the integer
 counts, and the integer per-edge tallies of the planted sums, by |G|
-before any float enters. Automorphism counts and the orbit table use plans
-that break nothing, as they define the group.
+before any float enters. The whole-pattern plan's group is Aut(H), so its
+order is the pattern's aut_count; the orbit table lists Aut(H) with a plan
+that breaks nothing.
 
 Conditional expectations over a planted graph G* expand the product of
 per-edge factors p + (1-p)*1[planted] over edge subsets T of the pattern H:
@@ -88,9 +89,7 @@ at a new p is one product with the weights p**m (1-p)**(C(n,2)-m). An event
 that only asks for at least k copies (CopiesAtLeast for any k,
 DisjointCopies with s <= 1, HasSpannedWithCopies with count <= 1) takes its
 histogram as the sum of the count histogram's columns k and up; only the
-other structural events peel a closure of their own. The full arrays
-(copy_count_array, the events' mask_array) remain as the references the
-peeled histograms are tested against.
+other structural events peel a closure of their own.
 """
 
 from __future__ import annotations
@@ -355,12 +354,6 @@ def count_injective_homs(P: Pattern, g: SimpleGraph) -> int:
     return plan[6] * _count_maps(plan, g, (), [DEFAULT_MAP_BUDGET])
 
 
-def count_automorphisms(g: SimpleGraph) -> int:
-    """Number of automorphisms of g: the injective maps of g into itself,
-    each one enumerated, since they define the group the other plans break."""
-    return _count_maps(_greedy_order(g.n, g.edges, ()), g, (), [DEFAULT_MAP_BUDGET])
-
-
 @lru_cache(maxsize=64)
 def _orbit_table(h: SimpleGraph, rooted: bool):
     """(pins, subset bits, orbit size) for every Aut(h)-orbit of the edge
@@ -411,9 +404,9 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
 def _per_copy(P: Pattern, maps: int) -> int:
     """Copy count from a count of injective maps, each copy hit |Aut| times.
 
-    The group that the whole-pattern plan breaks is Aut(H), so its order
-    must be the pattern's aut_count: a mismatch means one of the two is
-    wrong, and every count would be scaled by it."""
+    The group that the whole-pattern plan breaks is Aut(H), and make_pattern
+    takes aut_count from its order: a mismatch means a Pattern built by hand
+    with a wrong aut_count, which would scale every count."""
     group = _plan(P.graph)[6]
     if group != P.aut_count:
         raise ContractError(f"plan group order {group} differs from |Aut| = {P.aut_count}")
@@ -631,11 +624,17 @@ def _kn_copies(P: Pattern, n: int):
     as two read-only int64 arrays: each copy's row-major edge mask, and the
     mask of the pairs at its vertices (its vertex star)."""
     slots = _edge_slots(n)
+    at = [0] * n  # the pairs at each vertex
+    for (u, v), b in slots.items():
+        at[u] |= 1 << b
+        at[v] |= 1 << b
     masks, stars = [], []
     for copy in iter_copies(P, complete_graph(n)) if n >= P.q else ():
-        vs = {v for e in copy for v in e}
         masks.append(sum(1 << slots[e] for e in copy))
-        stars.append(sum(1 << b for e, b in slots.items() if vs.intersection(e)))
+        star = 0
+        for u, v in copy:
+            star |= at[u] | at[v]
+        stars.append(star)
     out = np.array(masks, dtype=np.int64), np.array(stars, dtype=np.int64)
     for arr in out:
         arr.setflags(write=False)
@@ -712,15 +711,6 @@ def _peeled_histogram(n: int, marks: np.ndarray, dtype, width: int) -> np.ndarra
     hist = hist.astype(np.float64).reshape(-1, width)
     hist.setflags(write=False)
     return hist
-
-
-@lru_cache(maxsize=32)
-def copy_count_array(P: Pattern, n: int) -> np.ndarray:
-    """Pattern-copy count of every labeled graph on n vertices (n <= 7),
-    indexed by the row-major edge bitmask: the full-array reference of the
-    count histogram."""
-    _exact_slots(n)  # refuses n before K_n's copies are listed
-    return _subset_closure(n, _kn_copies(P, n)[0], np.uint16)
 
 
 def _mask_dtypes(n: int, copies: int):
@@ -810,9 +800,6 @@ class DisjointCopies:
     def unions(self, n: int) -> np.ndarray:
         return _copy_unions(self.pattern, n, self.s, disjoint=True)
 
-    def mask_array(self, n: int) -> np.ndarray:
-        return _subset_closure(n, self.unions(n), bool)
-
 
 @dataclass(frozen=True)
 class HasSpannedWithCopies:
@@ -824,9 +811,6 @@ class HasSpannedWithCopies:
 
     def unions(self, n: int) -> np.ndarray:
         return _copy_unions(self.pattern, n, self.count, disjoint=False)
-
-    def mask_array(self, n: int) -> np.ndarray:
-        return _subset_closure(n, self.unions(n), bool)
 
 
 def _weights_by_popcount(m_slots: int, p: float) -> np.ndarray:

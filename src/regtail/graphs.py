@@ -30,7 +30,9 @@ from .errors import (
     TooSmallError,
 )
 
-MAX_PATTERN_VERTICES = 10  # K_q still has q! automorphisms to enumerate
+# Below this cap the calls bound q themselves: planted sums refuse more than
+# counting.MAX_ORBIT_MEMBERS edge subsets, second moments q > tails.MAX_SECOND_MOMENT_Q
+MAX_PATTERN_VERTICES = 10
 MAX_FRAME = 4096  # vertices per component frame; a larger component gets ball frames
 
 
@@ -312,12 +314,11 @@ def make_pattern(g: SimpleGraph) -> Pattern:
     """Validate a pattern graph and compute its invariants.
 
     Raises TooSmallError, NotRegularError or NotConnectedError naming the
-    violated invariant. The automorphism count is the number of injective
-    maps of the pattern into itself, from the copy kernel; patterns are
-    capped at 10 vertices because that enumerates every automorphism, up to
-    q! of them for K_q.
+    violated invariant. The automorphism count is the group order of the
+    pattern's symmetry-broken plan, the plan every later count reuses: its
+    group is Aut(H) for a connected graph, and no automorphism is listed.
     """
-    from .counting import count_automorphisms  # deferred: counting imports graphs
+    from .counting import _plan  # deferred: counting imports graphs
 
     if g.n < 3:
         raise TooSmallError(f"pattern needs at least 3 vertices, got {g.n}")
@@ -338,7 +339,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         q=g.n,
         delta=delta,
         edge_count=g.m,
-        aut_count=count_automorphisms(g),
+        aut_count=_plan(g)[6],
         edge_triangles=min(len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges),
     )
 

@@ -8,12 +8,22 @@ package's closure reorganises for speed. Component labels come from a
 sequential union-find, and triangle supports from every vertex triple.
 The truss core is a set fixpoint over adjacency sets, and edge slots map to
 their endpoints by integer square roots.
+
+The references at the end are not independent: they are what no command
+needs, built on the package's own marks and kernel. The full arrays over
+the 2^C(n,2) masks close the package's copy masks and copy unions with its
+subset closure, for the peeled histograms to be tested against, and the
+automorphism count enumerates every map under a plan that breaks nothing,
+for the symmetry-broken plans to be tested against.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
+
+from regtail import counting
 
 
 def _degree_profile(edges):
@@ -200,15 +210,26 @@ def subset_closure_oracle(n, marked, dtype):
 
 def automorphism_count(edges) -> int:
     """Number of permutations of the edges' endpoints that map the edge set
-    onto itself."""
+    onto itself. The vertices are assigned in sorted order, and a partial
+    assignment is dropped once an edge between two assigned vertices maps
+    to a non-edge: a bijection that maps every edge to an edge maps the
+    edge set onto itself."""
     es = {tuple(sorted(e)) for e in edges}
     verts = sorted({v for e in es for v in e})
-    count = 0
-    for perm in permutations(verts):
-        mapping = dict(zip(verts, perm))
-        if all(tuple(sorted((mapping[u], mapping[v]))) in es for u, v in es):
-            count += 1
-    return count
+    earlier = [[u for u in verts[:i] if (u, v) in es] for i, v in enumerate(verts)]
+    mapping = {}
+
+    def extend(i, free):
+        if i == len(verts):
+            return 1
+        count = 0
+        for w in sorted(free):
+            if all(tuple(sorted((mapping[u], w))) in es for u in earlier[i]):
+                mapping[verts[i]] = w
+                count += extend(i + 1, free - {w})
+        return count
+
+    return extend(0, frozenset(verts))
 
 
 def copies_in_graph(pattern_edges, n, host_edges):
@@ -293,3 +314,27 @@ def slot_pair_oracle(n, slot):
     while (u + 1) * (2 * n - 2 - u) // 2 <= slot:
         u += 1
     return u, u + 1 + slot - u * (2 * n - 1 - u) // 2
+
+
+@lru_cache(maxsize=32)
+def copy_count_array(P, n):
+    """Pattern-copy count of every labeled graph on n vertices (n <= 7),
+    indexed by the row-major edge bitmask: the full-array reference of the
+    package's count histogram."""
+    counting._exact_slots(n)  # refuses n before K_n's copies are listed
+    return counting._subset_closure(n, counting._kn_copies(P, n)[0], np.uint16)
+
+
+def event_mask_array(event, n):
+    """Whether each labeled graph on n vertices (n <= 7) has the structural
+    event (DisjointCopies or HasSpannedWithCopies), indexed by the row-major
+    edge bitmask: the bool closure of the event's copy unions."""
+    return counting._subset_closure(n, event.unions(n), bool)
+
+
+def count_automorphisms(g) -> int:
+    """Number of automorphisms of g from the package's kernel: the injective
+    maps of g into itself, each one enumerated under a plan that breaks no
+    symmetry, within one budget cell of counting.DEFAULT_MAP_BUDGET."""
+    plan = counting._greedy_order(g.n, g.edges, ())
+    return counting._count_maps(plan, g, (), [counting.DEFAULT_MAP_BUDGET])

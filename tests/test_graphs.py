@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import slot_pair_oracle
+from oracles import automorphism_count, slot_pair_oracle
 
+from regtail import counting
 from regtail.errors import (
     DomainError,
     NotConnectedError,
@@ -81,11 +82,33 @@ PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)
 PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
 K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 OCTAHEDRON = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 3]
+CUBE = [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]
 
 
 def test_petersen_automorphisms():
     p = make_pattern(SimpleGraph(10, PETERSEN))
     assert (p.q, p.delta, p.edge_count, p.aut_count) == (10, 3, 15, 120)
+
+
+@pytest.mark.parametrize("name, g", [
+    *((f"k{q}", complete_graph(q)) for q in (3, 4, 5)),
+    *((f"c{q}", cycle_graph(q)) for q in range(4, 9)),
+    ("prism", SimpleGraph(6, PRISM)),
+    ("k33", SimpleGraph(6, K33)),
+    ("cube", SimpleGraph(8, CUBE)),
+    ("petersen", SimpleGraph(10, PETERSEN)),
+])
+def test_aut_count_is_the_plan_group_order(name, g):
+    # the whole-pattern plan's group is Aut(H): its order, which make_pattern
+    # takes, equals a permutation search over the pattern's vertices
+    assert make_pattern(g).aut_count == counting._plan(g)[6] == automorphism_count(g.edges)
+
+
+def test_k10_lists_no_automorphism(monkeypatch):
+    # listing K10's 10! automorphisms draws at least 3.6M assignments; its
+    # plan's group order is found within a budget of 10**5
+    monkeypatch.setattr(counting, "DEFAULT_MAP_BUDGET", 10**5)
+    assert make_pattern(complete_graph(10)).aut_count == math.factorial(10)
 
 
 @pytest.mark.parametrize("name, g, t", [
@@ -113,7 +136,7 @@ def test_named_patterns_are_built_once(monkeypatch):
 
     names = ("k3", "c4", "k4", "k5")
     want = {name: named_pattern(name) for name in names}
-    monkeypatch.setattr(regtail.counting, "count_automorphisms", None)  # a build would fail
+    monkeypatch.setattr(regtail.counting, "_plan", None)  # a build would fail
     for name in names:
         assert named_pattern(name) is want[name]
         assert named_pattern(name.upper()) is want[name]

@@ -5,7 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import component_labels_oracle, triangle_support_oracle, truss_core_oracle
+from oracles import (
+    component_labels_oracle,
+    copy_count_array,
+    triangle_support_oracle,
+    truss_core_oracle,
+)
 
 from regtail import graphs, tails
 from regtail.bounds import tail_rate
@@ -13,7 +18,6 @@ from regtail.cli import _load_pattern
 from regtail.counting import (
     MAX_EXACT_N,
     CopiesAtLeast,
-    copy_count_array,
     count_copies,
     exact_probability,
     tail_probability_table,
