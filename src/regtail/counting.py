@@ -8,12 +8,14 @@ other module's inequality is checked against it.
 The injective-map kernel enumerates vertex images in a greedy connected
 order (each new pattern vertex adjacent to an already-placed one when
 possible). Candidate sets are integer bit masks (Ullmann, J. ACM 23 (1976)
-31-42) over frames of the host graph's bit view: a cached frame per
-connected component of up to graphs.MAX_FRAME vertices, and in a larger
-component a ball around each root image, so that no mask grows with a
-large sparse component. A position's candidates are the AND of the
-neighbour masks of the images it is tied to, the frame's mask of vertices
-of large enough degree, and the complement of the images already placed.
+31-42) over frames of the host graph's bit view. A graph on at most
+graphs.LABEL_FRAME_MAX labels is one frame indexed by label, built in one
+pass over its edges. A larger graph has a cached frame per connected
+component of up to graphs.MAX_FRAME vertices, and in a larger component a
+ball around each root image, so that no mask grows with a large sparse
+component. A position's candidates are the AND of the neighbour masks of
+the images it is tied to, the frame's mask of vertices of large enough
+degree, and the complement of the images already placed.
 The last position is counted by popcount. It is the package's one
 injective-map recursion: an optional leaf hook is handed each placed prefix
 with the last position's candidate mask, once per prefix and not once per
@@ -64,6 +66,16 @@ and weight it by the orbit size; rooted sums do the same over the orbits
 of the pairs (pattern arc pinned onto f, T through that arc's edge).
 K3, C4, K4 and K5 have 4, 6, 11 and 34 subset orbits (of 2^e(H)) and 4,
 8, 20 and 120 rooted orbits (of e(H) * 2^e(H) pairs).
+
+A map of T restricts to a map of T minus any edge, so N_T = 0 whenever a
+subset of one edge fewer has no map. Each orbit records as predecessors
+the orbits of its representative minus one edge (other than the pinned
+arc's, when rooted), and every predecessor comes earlier in the table. A
+sum skips, without a kernel run, each term with a predecessor that counted
+no map; on a sparse planted graph most terms go this way. A skipped term
+would have added 0.0, so the float additions are the same. A rooted sum's
+whole-pattern terms count the copies through f inside the planted graph,
+which is the integer the outside sum subtracts.
 
 Exact probabilities for n <= 7 index every labeled graph by its row-major
 edge bitmask, but no array over the 2^C(n,2) masks is built. A graph's
@@ -215,12 +227,12 @@ def _break_symmetry(q, plan, npins):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(pattern_graph: SimpleGraph, edge_subset=None, pins=()):
-    """Cached enumeration plan for a pattern (or one of its edge subsets,
-    given as a tuple), with the pinned pattern vertices placed first, and
-    with the conditions that break the symmetry of the planned edges."""
-    if edge_subset is None:
-        edge_subset = pattern_graph.edges
+def _plan(pattern_graph: SimpleGraph, edge_subset: tuple, pins: tuple):
+    """Cached enumeration plan for the edges edge_subset of a pattern (its
+    whole edge tuple, or a subset in the same order), with the pinned
+    pattern vertices placed first, and with the conditions that break the
+    symmetry of the planned edges. Every caller passes all three arguments
+    positionally, so that each plan has one cache entry."""
     plan = _greedy_order(pattern_graph.n, edge_subset, pins)
     return plan[:5] + _break_symmetry(pattern_graph.n, plan, len(pins))
 
@@ -267,15 +279,22 @@ def _count_maps(plan, g: SimpleGraph, pins, state, leaf=None):
         frame = view.frame_at(pins[0], reach[0])
         if frame is None:  # an isolated pin, while every planned vertex has an edge
             return 0
+        bit, nbr = frame.bit, frame.nbr
         for i, w in enumerate(pins):
-            b = frame.bit.get(w)
-            if b is None or used >> b & 1 or any(not nb[j] >> b & 1 for j in back[i]):
+            b = bit.get(w)
+            if b is None:
                 return 0
-            images[i], nb[i], above[i] = w, frame.nbr[b], -(2 << b)
-            used |= 1 << b
+            low = 1 << b
+            if used & low:
+                return 0
+            for j in back[i]:
+                if not nb[j] & low:
+                    return 0
+            images[i], nb[i], above[i] = w, nbr[b], -(low << 1)
+            used |= low
     if len(pins) == npos:
         if leaf is not None:
-            leaf(images, 1 << b, frame.labels)
+            leaf(images, low, frame.labels)
         return 1
     last, penult = npos - 1, npos - 2
     tail = back[last]  # never empty: the last position's component has an edge
@@ -350,20 +369,25 @@ def _complete_maps(images, mask, labels):
 
 def count_injective_homs(P: Pattern, g: SimpleGraph) -> int:
     """Number of injective vertex maps carrying every pattern edge to an edge of g."""
-    plan = _plan(P.graph)
+    plan = _plan(P.graph, P.graph.edges, ())
     return plan[6] * _count_maps(plan, g, (), [DEFAULT_MAP_BUDGET])
 
 
 @lru_cache(maxsize=64)
 def _orbit_table(h: SimpleGraph, rooted: bool):
-    """(pins, subset bits, orbit size) for every Aut(h)-orbit of the edge
-    subsets T of h, each represented by its first member.
+    """(pins, subset bits, orbit size, predecessors) for every Aut(h)-orbit
+    of the edge subsets T of h, each represented by its first member.
 
     Bit i of the subset stands for h.edges[i]. Unrooted, pins is () and
     the orbits are those of the subsets; rooted, they are the orbits of
     the pairs (arc, T) with the arc's edge in T, and pins is the arc.
-    A table of more than MAX_ORBIT_MEMBERS members (2^e(h) subsets, or
-    e(h) * 2^e(h) pairs) raises TooLargeError before anything is listed.
+    predecessors lists, in increasing order, the table indices of the
+    orbits of T minus one of its edges other than the arc's, each below the
+    entry's own index: a member minus an edge comes earlier in the order in
+    which members are met. A table of more than MAX_ORBIT_MEMBERS members
+    (2^e(h) subsets, or e(h) * 2^e(h) pairs) raises TooLargeError before
+    anything is listed; the member map that finds each orbit's index lives
+    only while the table is built.
     """
     n_members = len(h.edges) << len(h.edges) if rooted else 1 << len(h.edges)
     if n_members > MAX_ORBIT_MEMBERS:
@@ -386,18 +410,20 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
                    for arc in ((u, v), (v, u)) for bits in every if bits >> i & 1)
     else:
         members = (((), bits) for bits in every)
-    seen = set()
+    where = {}  # member -> index of its orbit in the table
     table = []
     for pins, bits in members:
-        if (pins, bits) in seen:
+        if (pins, bits) in where:
             continue
         orbit = {
             (tuple(s[x] for x in pins),
              sum(1 << j for i, j in enumerate(perm) if bits >> i & 1))
             for s, perm in autos
         }
-        seen |= orbit
-        table.append((pins, bits, len(orbit)))
+        where.update(dict.fromkeys(orbit, len(table)))
+        free = bits & ~(1 << slot[min(pins), max(pins)]) if pins else bits
+        preds = {where[pins, bits & ~(1 << i)] for i in range(len(edges)) if free >> i & 1}
+        table.append((pins, bits, len(orbit), tuple(sorted(preds))))
     return tuple(table)
 
 
@@ -407,7 +433,7 @@ def _per_copy(P: Pattern, maps: int) -> int:
     The group that the whole-pattern plan breaks is Aut(H), and make_pattern
     takes aut_count from its order: a mismatch means a Pattern built by hand
     with a wrong aut_count, which would scale every count."""
-    group = _plan(P.graph)[6]
+    group = _plan(P.graph, P.graph.edges, ())[6]
     if group != P.aut_count:
         raise ContractError(f"plan group order {group} differs from |Aut| = {P.aut_count}")
     return maps // group
@@ -421,7 +447,7 @@ def count_copies(P: Pattern, g: SimpleGraph) -> int:
 def iter_copies(P: Pattern, g: SimpleGraph):
     """Distinct copies of the pattern in g, each a frozenset of edges: the
     plan breaks Aut(H), so each copy is met once."""
-    plan = _plan(P.graph)
+    plan = _plan(P.graph, P.graph.edges, ())
     epos = plan[3]
     out = []
 
@@ -444,9 +470,9 @@ def count_copies_through_edge(P: Pattern, g: SimpleGraph, f) -> int:
     state = [DEFAULT_MAP_BUDGET]
     full = (1 << P.edge_count) - 1
     total = 0
-    for pins, bits, size in _orbit_table(P.graph, True):
+    for pins, bits, size, _ in _orbit_table(P.graph, True):
         if bits == full:
-            plan = _plan(P.graph, pins=pins)
+            plan = _plan(P.graph, P.graph.edges, pins)
             total += size * plan[6] * _count_maps(plan, g, (a, b), state)
     return _per_copy(P, total)
 
@@ -475,21 +501,24 @@ class PlantedModel:
 @lru_cache(maxsize=64)
 def _planted_terms(h: SimpleGraph, rooted: bool):
     """The terms of a planted sum over h's subset orbits (rooted or not),
-    one per orbit: (plan, |T|, t_T, orbit size, group, inner, ends), where
-    inner lists the position pairs of T's edges away from the plan's last
-    position and ends the other end of each edge at it."""
+    one per orbit and in the orbit table's order: (plan, |T|, t_T, orbit
+    size, group, inner, ends, preds), where inner lists the position pairs
+    of T's edges away from the plan's last position, ends the other end of
+    each edge at it, and preds has bit j set for each predecessor j of the
+    orbit in the table."""
     terms = []
-    for pins, bits, size in _orbit_table(h, rooted):
+    for pins, bits, size, preds in _orbit_table(h, rooted):
         subset = tuple(e for i, e in enumerate(h.edges) if bits >> i & 1)
         plan = _plan(h, subset, pins)
         last = len(plan[0]) - 1
         inner = tuple((i, j) for i, j in plan[3] if last not in (i, j))
         ends = tuple(i + j - last for i, j in plan[3] if last in (i, j))
-        terms.append((plan, len(subset), len(plan[0]), size, plan[6], inner, ends))
+        terms.append((plan, len(subset), len(plan[0]), size, plan[6], inner, ends,
+                      sum(1 << j for j in preds)))
     return tuple(terms)
 
 
-def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) -> float:
+def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None):
     """The subset expansion of the module docstring: the sum over edge
     subsets T of the pattern of w_T * N_T, one kernel run per Aut(H)-orbit
     of subsets weighted by the orbit size.
@@ -501,43 +530,63 @@ def _planted_sum(P: Pattern, model: PlantedModel, state, root=(), credits=None) 
     credits the edges away from the last position once for each of its
     maps, and those at it once per candidate. All kernel runs draw on the
     one budget cell `state`.
+
+    A map of T restricts to a map of T minus an edge, so a term with a
+    predecessor that counted no map counts none either and is skipped
+    without a kernel run. A skipped term would add 0.0, so the sum and the
+    credits take the same float additions in the same order.
+
+    Returns (sum, inside), inside being the orbit-weighted, group-scaled
+    map count of the whole-pattern terms: |Aut(H)| times the copies inside
+    the planted graph, or through f when rooted.
     """
     p, n, q = model.p, model.n, P.q
     if n < q:
-        return 0.0  # no copy fits: each term has t_T > n or no room for the rest
+        return 0.0, 0  # no copy fits: each term has t_T > n or no room for the rest
     e_h = P.edge_count
     rooted = bool(root)
-    total = 0.0
-    for plan, k, t, size, group, inner, ends in _planted_terms(P.graph, rooted):
+    total, inside, zero = 0.0, 0, 0  # zero: bit j set when term j has no map
+    for index, (plan, k, t, size, group, inner, ends, preds) in enumerate(
+            _planted_terms(P.graph, rooted)):
+        if preds & zero:
+            zero |= 1 << index
+            continue
+        leaf = None
+        if credits is not None:
+            tally = {}  # image pair -> maps crediting it; a plain dict is fastest here
+
+            def leaf(images, mask, labels, inner=inner, ends=ends, tally=tally):
+                maps = mask.bit_count()
+                for i, j in inner:
+                    key = images[i], images[j]
+                    tally[key] = tally.get(key, 0) + maps
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    w = labels[low.bit_length() - 1]
+                    for i in ends:
+                        key = images[i], w
+                        tally[key] = tally.get(key, 0) + 1
+
+        maps = _count_maps(plan, model.planted, root, state, leaf)
+        if not maps:
+            zero |= 1 << index
+            continue
+        if k == e_h:
+            inside += size * group * maps
         weight = size * p ** (e_h - k) * (1.0 - p) ** (k - rooted)
         weight *= math.perm(n - t, q - t)
         # integer scaling first, so each float sees the full map count
+        total += weight * (group * maps)
         if credits is None:
-            total += weight * (group * _count_maps(plan, model.planted, root, state))
             continue
-        tally = {}  # image pair -> maps crediting it; a plain dict is fastest here
-
-        def leaf(images, mask, labels, inner=inner, ends=ends, tally=tally):
-            maps = mask.bit_count()
-            for i, j in inner:
-                key = images[i], images[j]
-                tally[key] = tally.get(key, 0) + maps
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                w = labels[low.bit_length() - 1]
-                for i in ends:
-                    key = images[i], w
-                    tally[key] = tally.get(key, 0) + 1
-
-        total += weight * (group * _count_maps(plan, model.planted, root, state, leaf))
         per_edge = {}  # both arcs' tallies in one integer, so leaf order cannot round
         for (a, b), c in tally.items():
             f = (a, b) if a < b else (b, a)
             per_edge[f] = per_edge.get(f, 0) + c
         for f, c in per_edge.items():
             credits[f] += weight * (group * c)
-    return total
+    return total, inside
 
 
 def planted_expectation(P: Pattern, model: PlantedModel) -> float:
@@ -546,7 +595,7 @@ def planted_expectation(P: Pattern, model: PlantedModel) -> float:
     Equals the sum over all copies in the complete graph of p raised to the
     number of copy edges missing from the planted graph.
     """
-    return _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET]) / P.aut_count
+    return _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET])[0] / P.aut_count
 
 
 def planted_edge_deltas(P: Pattern, model: PlantedModel):
@@ -559,9 +608,17 @@ def planted_edge_deltas(P: Pattern, model: PlantedModel):
     identity of the module docstring).
     """
     credits = dict.fromkeys(model.planted.edges, 0.0)
-    total = _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET], credits=credits)
+    total, _ = _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET], credits=credits)
     aut = P.aut_count
     return total / aut, {f: c / aut for f, c in credits.items()}
+
+
+def _rooted_sum(P: Pattern, model: PlantedModel, f):
+    """The rooted planted sum at the planted edge f, as (sum, inside)."""
+    a, b = f
+    if not model.planted.has_edge(a, b):
+        raise EdgeAbsentError(f"edge {f} not present in planted graph")
+    return _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET], root=(a, b))
 
 
 def edge_rooted_expectation(P: Pattern, model: PlantedModel, f) -> float:
@@ -573,10 +630,7 @@ def edge_rooted_expectation(P: Pattern, model: PlantedModel, f) -> float:
     T through the arc's edge, at weight w_T / (1 - p), since f's own factor
     is 1 and only subsets through that edge contribute.
     """
-    a, b = f
-    if not model.planted.has_edge(a, b):
-        raise EdgeAbsentError(f"edge {f} not present in planted graph")
-    return _planted_sum(P, model, [DEFAULT_PLANTED_BUDGET], root=(a, b)) / P.aut_count
+    return _rooted_sum(P, model, f)[0] / P.aut_count
 
 
 def planted_edge_delta(P: Pattern, model: PlantedModel, f):
@@ -593,10 +647,12 @@ def planted_edge_delta(P: Pattern, model: PlantedModel, f):
 
 
 def edge_rooted_outside_sum(P: Pattern, model: PlantedModel, f) -> float:
-    """Expected number of copies through f that use at least one non-planted edge."""
-    rooted = edge_rooted_expectation(P, model, f)
-    inside = count_copies_through_edge(P, model.planted, f)
-    return rooted - inside
+    """Expected number of copies through f that use at least one non-planted
+    edge: the rooted expectation less the copies through f inside the
+    planted graph, which the same rooted pass counts in its whole-pattern
+    terms."""
+    total, inside = _rooted_sum(P, model, f)
+    return total / P.aut_count - _per_copy(P, inside)
 
 
 # ---------------------------------------------------------------------------

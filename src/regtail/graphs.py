@@ -34,6 +34,7 @@ from .errors import (
 # counting.MAX_ORBIT_MEMBERS edge subsets, second moments q > tails.MAX_SECOND_MOMENT_Q
 MAX_PATTERN_VERTICES = 10
 MAX_FRAME = 4096  # vertices per component frame; a larger component gets ball frames
+LABEL_FRAME_MAX = 64  # labels up to which a graph is one frame over all of them
 
 
 class _DegreeMasks(dict):
@@ -47,8 +48,9 @@ class _DegreeMasks(dict):
         self.nbr, self.deg = nbr, deg
 
     def __missing__(self, d):
-        deg = self.deg or [m.bit_count() for m in self.nbr]
-        mask = self[d] = sum(1 << b for b, k in enumerate(deg) if k >= d)
+        if self.deg is None:
+            self.deg = [m.bit_count() for m in self.nbr]
+        mask = self[d] = sum(1 << b for b, k in enumerate(self.deg) if k >= d)
         return mask
 
 
@@ -80,19 +82,35 @@ class _Frame:
 class _BitView:
     """The support of a graph as integer bit masks, for the copy kernel.
 
-    A connected component of at most MAX_FRAME vertices is one cached frame,
-    its labels in sorted order. A mask is as long as its frame, so a
-    component of s vertices costs about s**2 / 16 bytes of masks: fine for
-    small or dense components, quadratic for a large sparse one, whose
-    neighbour masks would each be as long as the component. A larger
-    component therefore gets, for each root image the kernel tries, a fresh
-    frame over the ball around it that can hold the rest of the map.
-    Isolated vertices cost nothing.
+    A graph on at most LABEL_FRAME_MAX labels is one frame over labels
+    0..n-1, bit b for label b, and nbrs is None. Its neighbour masks come
+    from one pass over the edge list, with no neighbour lists, search or
+    sort; an isolated label is a bit that no mask holds. At that size masks
+    of n bits cost less than finding the components, even when a few edges
+    lie among many isolated labels.
+
+    In a larger graph a connected component of at most MAX_FRAME vertices
+    is one cached frame, its labels in sorted order. A mask is as long as
+    its frame, so a component of s vertices costs about s**2 / 16 bytes of
+    masks: fine for small or dense components, quadratic for a large sparse
+    one, whose neighbour masks would each be as long as the component. A
+    larger component therefore gets, for each root image the kernel tries,
+    a fresh frame over the ball around it that can hold the rest of the
+    map. Isolated vertices of a larger graph cost nothing. Every kind of
+    frame orders its bits by label, as the kernel's symmetry conditions
+    need.
     """
 
     __slots__ = ("nbrs", "frames", "large", "_home")
 
-    def __init__(self, edges):
+    def __init__(self, n, edges):
+        if n <= LABEL_FRAME_MAX:
+            nbr = [0] * n
+            for u, v in edges:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+            self.nbrs, self.frames, self.large = None, [_Frame(list(range(n)), nbr)], []
+            return
         nbrs = self.nbrs = {}
         for u, v in edges:
             nbrs.setdefault(u, []).append(v)
@@ -142,6 +160,9 @@ class _BitView:
     def frame_at(self, w, radius):
         """A frame holding every vertex within radius of w, or None when w
         is isolated."""
+        if self.nbrs is None:  # one label frame
+            frame = self.frames[0]
+            return frame if frame.nbr[w] else None
         if self._home is None:
             self._home = {v: frame for frame in self.frames for v in frame.labels}
         frame = self._home.get(w)
@@ -213,7 +234,7 @@ class SimpleGraph:
     def _bit_view(self) -> _BitView:
         """The cached bit view of the support, for the copy kernel."""
         if self._bits is None:
-            self._bits = _BitView(self.edges)
+            self._bits = _BitView(self.n, self.edges)
         return self._bits
 
     def neighbors(self, v) -> frozenset:
@@ -339,7 +360,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         q=g.n,
         delta=delta,
         edge_count=g.m,
-        aut_count=_plan(g)[6],
+        aut_count=_plan(g, g.edges, ())[6],
         edge_triangles=min(len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges),
     )
 

@@ -17,6 +17,7 @@ from oracles import (
     exact_probability_oracle,
     has_disjoint_copies,
     max_component_copies,
+    outside_edge_oracle,
     planted_expectation_oracle,
     subset_closure_oracle,
     subset_copy_count,
@@ -245,12 +246,12 @@ def test_orbit_table(name, unrooted, rooted):
     e_h = h.m
     table = counting._orbit_table(h, False)
     assert len(table) == unrooted
-    assert all(pins == () for pins, _, _ in table)
-    assert sum(size for _, _, size in table) == 1 << e_h
+    assert all(pins == () for pins, *_ in table)
+    assert sum(size for _, _, size, _ in table) == 1 << e_h
     table = counting._orbit_table(h, True)
     assert len(table) == rooted
-    assert sum(size for _, _, size in table) == e_h << e_h
-    for (u, v), bits, _ in table:
+    assert sum(size for _, _, size, _ in table) == e_h << e_h
+    for (u, v), bits, *_ in table:
         i = h.edges.index((min(u, v), max(u, v)))
         assert bits >> i & 1
 
@@ -287,6 +288,68 @@ def test_prism_vs_oracles(seed):
         through = subset_copy_count(pat.graph.edges, edges) - subset_copy_count(
             pat.graph.edges, without)
         assert count_copies_through_edge(pat, g, f) == through
+
+
+# Sparse planted graphs on 9 labels, on which most planted terms have no
+# map: a matching, a path, a star, and a triangle with a pendant edge.
+SPARSE = {
+    "matching": [(0, 1), (2, 3), (4, 5), (6, 7)],
+    "path": [(i, i + 1) for i in range(6)],
+    "star": [(0, i) for i in range(1, 7)],
+    "pendant": [(0, 1), (1, 2), (0, 2), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("shape", SPARSE)
+@pytest.mark.parametrize("name", ("k3", "c4", "k4"))
+def test_pruned_planted_sums_match_oracles(name, shape):
+    """The planted sums skip each term that a predecessor with no map rules
+    out. The expectation, the credits, every rooted expectation and its
+    outside part still match the oracles."""
+    P = named_pattern(name)
+    n, p, edges = 9, 0.3, SPARSE[shape]
+    g = SimpleGraph(n, edges)
+    model = PlantedModel(n, p, g)
+    want = planted_expectation_oracle(P.graph.edges, n, p, edges)
+    assert planted_expectation(P, model) == pytest.approx(want, rel=1e-10)
+    expectation, deltas = planted_edge_deltas(P, model)
+    assert expectation == pytest.approx(want, rel=1e-10)
+    for f in edges:
+        rooted = edge_rooted_oracle(P.graph.edges, n, p, edges, f)
+        assert edge_rooted_expectation(P, model, f) == pytest.approx(rooted, rel=1e-10)
+        assert deltas[f] == pytest.approx((1 - p) * rooted, rel=1e-10)
+        outside = outside_edge_oracle(P.graph.edges, n, p, edges, f)
+        assert edge_rooted_outside_sum(P, model, f) == pytest.approx(outside, rel=1e-10)
+
+
+@pytest.mark.parametrize("call", ("expectation", "credits", "rooted"))
+def test_ruled_out_terms_run_no_kernel(c4, call, monkeypatch):
+    """On a planted matching, C4's terms with two adjacent edges have no
+    map. The kernel runs for exactly the terms none of whose predecessors
+    counted 0, fewer than all of them."""
+    g = SimpleGraph(9, SPARSE["matching"])
+    model = PlantedModel(9, 0.3, g)
+    rooted = call == "rooted"
+    root = (2, 3) if rooted else ()
+    terms = counting._planted_terms(c4.graph, rooted)
+    counts = [counting._count_maps(term[0], g, root, [10**9]) for term in terms]
+    want = [term[0] for term in terms
+            if all(counts[j] for j in range(len(terms)) if term[7] >> j & 1)]
+    assert len(want) < len(terms)
+    kernel, plans = counting._count_maps, []
+
+    def spied(plan, *rest):
+        plans.append(plan)
+        return kernel(plan, *rest)
+
+    monkeypatch.setattr(counting, "_count_maps", spied)
+    if rooted:
+        edge_rooted_expectation(c4, model, root)
+    elif call == "credits":
+        planted_edge_deltas(c4, model)
+    else:
+        planted_expectation(c4, model)
+    assert plans == want
 
 
 def test_plan_cache_is_bounded():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import automorphism_count, slot_pair_oracle
 
-from regtail import counting
+from regtail import counting, graphs
 from regtail.errors import (
     DomainError,
     NotConnectedError,
@@ -101,7 +101,101 @@ def test_petersen_automorphisms():
 def test_aut_count_is_the_plan_group_order(name, g):
     # the whole-pattern plan's group is Aut(H): its order, which make_pattern
     # takes, equals a permutation search over the pattern's vertices
-    assert make_pattern(g).aut_count == counting._plan(g)[6] == automorphism_count(g.edges)
+    plan = counting._plan(g, g.edges, ())
+    assert make_pattern(g).aut_count == plan[6] == automorphism_count(g.edges)
+
+
+REGULAR = {
+    **{f"k{q}": complete_graph(q) for q in (3, 4, 5, 6)},
+    **{f"c{q}": cycle_graph(q) for q in range(4, 9)},
+    "prism": SimpleGraph(6, PRISM),
+    "k33": SimpleGraph(6, K33),
+    "cube": SimpleGraph(8, CUBE),
+    "petersen": SimpleGraph(10, PETERSEN),
+}
+
+
+@pytest.mark.parametrize("rooted", (False, True))
+@pytest.mark.parametrize("name", REGULAR)
+def test_orbit_predecessors_come_first(name, rooted):
+    """Every orbit of the planted sums lists as predecessors orbits of one
+    edge fewer, the pinned arc's edge kept, each before it in the table:
+    the sums meet a zero predecessor before the term it rules out. Every
+    table here fits counting.MAX_ORBIT_MEMBERS (K6 and the Petersen graph
+    rooted: 15 * 2^15 pairs)."""
+    g = REGULAR[name]
+    table = counting._orbit_table(g, rooted)
+    slot = {e: i for i, e in enumerate(g.edges)}
+    for index, (pins, bits, _, preds) in enumerate(table):
+        free = bits & ~(1 << slot[min(pins), max(pins)]) if pins else bits
+        assert list(preds) == sorted(set(preds))
+        assert all(j < index for j in preds)
+        assert len(preds) <= free.bit_count()
+        assert bool(preds) == bool(free)
+        for j in preds:
+            arc, sub = table[j][:2]
+            assert sub.bit_count() == bits.bit_count() - 1
+            if rooted:
+                assert sub >> slot[min(arc), max(arc)] & 1
+
+
+def _scattered_graph(n, seed):
+    """A graph on n labels with a K5, a C4, a sparse random part, several
+    components and isolated labels, some at both ends of the label range."""
+    rng = np.random.default_rng(seed)
+    edges = {tuple(sorted(e)) for e in itertools.combinations((1, 9, 20, 33, n - 1), 2)}
+    edges |= {(3, 4), (4, 5), (5, 6), (3, 6)}
+    edges |= {(a, b) for a, b in itertools.combinations(range(40, n - 2), 2)
+              if rng.random() < 0.2}
+    return sorted(edges)
+
+
+def _frame_results(n, edges, cutoff, monkeypatch):
+    """Everything the kernel answers on the graph, built under one cutoff:
+    the frame kind, copy counts and lists, copies through edges, planted
+    credits, and pinned runs with an isolated label at either pin."""
+    monkeypatch.setattr(graphs, "LABEL_FRAME_MAX", cutoff)
+    g = SimpleGraph(n, edges)
+    out = {"label frame": g._bit_view().nbrs is None}
+    for name in ("k3", "c4", "k4"):
+        P = named_pattern(name)
+        out[name] = (counting.count_copies(P, g), counting.iter_copies(P, g),
+                     [counting.count_copies_through_edge(P, g, f) for f in g.edges[::3]],
+                     counting.planted_edge_deltas(P, counting.PlantedModel(n + 2, 0.3, g)))
+    plan = counting._plan(complete_graph(3), complete_graph(3).edges, (0, 1))
+    isolated = next(v for v in range(n) if not g.degree(v))
+    out["isolated pin"] = [counting._count_maps(plan, g, pins, [10**9])
+                           for pins in ((isolated, 1), (1, isolated))]
+    return out
+
+
+@pytest.mark.parametrize("above", (0, 1))
+def test_label_frame_matches_component_frames(above, monkeypatch):
+    """A graph on LABEL_FRAME_MAX labels gets the one label frame and a
+    graph on one label more gets component frames; each answers exactly as
+    the other kind of frame does on the same graph."""
+    n = graphs.LABEL_FRAME_MAX + above
+    edges = _scattered_graph(n, seed=n)
+    default = _frame_results(n, edges, graphs.LABEL_FRAME_MAX, monkeypatch)
+    other = _frame_results(n, edges, n - 1 if not above else n, monkeypatch)
+    assert default.pop("label frame") == (not above)
+    assert other.pop("label frame") == bool(above)
+    assert default["isolated pin"] == [0, 0]
+    assert default == other
+
+
+def test_complete_graph_copies_in_both_frames(monkeypatch):
+    """The copies of K_n for n <= 7 that the exact layer builds on, listed
+    through the label frame and through the component frame."""
+    for n in range(3, 8):
+        lists = []
+        for cutoff in (n, n - 1):
+            monkeypatch.setattr(graphs, "LABEL_FRAME_MAX", cutoff)
+            lists.append([counting.iter_copies(named_pattern(name), complete_graph(n))
+                          for name in ("k3", "c4", "k4", "k5")])
+        assert lists[0] == lists[1]
+        assert [len(c) for c in lists[0]] == [
+            math.comb(n, q) * per for q, per in ((3, 1), (4, 3), (4, 1), (5, 1))]
 
 
 def test_k10_lists_no_automorphism(monkeypatch):

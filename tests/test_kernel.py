@@ -1,7 +1,9 @@
 """The injective-map kernel against the brute-force oracles, and the exact
-budget at which each kind of kernel call succeeds. Every test runs twice:
-with the cached frame of each component, and with ball frames, which the
-kernel gets for components above graphs.MAX_FRAME vertices."""
+budget at which each kind of kernel call succeeds. Every test runs three
+times: with the one label frame of a graph on at most
+graphs.LABEL_FRAME_MAX labels, with the cached frame of each component,
+which larger graphs get, and with ball frames, which the kernel gets for
+components above graphs.MAX_FRAME vertices."""
 
 import dataclasses
 from itertools import combinations, permutations
@@ -34,8 +36,10 @@ PATTERNS["prism"] = make_pattern(SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4),
                                                  (3, 5), (0, 3), (1, 4), (2, 5)]))
 
 
-@pytest.fixture(autouse=True, params=["component", "ball"])
+@pytest.fixture(autouse=True, params=["label", "component", "ball"])
 def frames(request, monkeypatch):
+    if request.param != "label":
+        monkeypatch.setattr(graphs, "LABEL_FRAME_MAX", -1)
     if request.param == "ball":
         monkeypatch.setattr(graphs, "MAX_FRAME", 0)
 
@@ -103,7 +107,7 @@ def test_symmetry_breaking_matches_every_map(name, rooted):
     P = PATTERNS.get(name) or named_pattern(name)
     h = P.graph
     hosts = [_gnp(n, p, seed=n + int(10 * p)) for n, p in ((8, 0.7), (10, 0.5))]
-    for pins, bits, _ in counting._orbit_table(h, rooted):
+    for pins, bits, *_ in counting._orbit_table(h, rooted):
         subset = tuple(e for i, e in enumerate(h.edges) if bits >> i & 1)
         plan = counting._plan(h, subset, pins)
         every = counting._greedy_order(h.n, subset, pins)
@@ -113,7 +117,7 @@ def test_symmetry_breaking_matches_every_map(name, rooted):
             for root in arcs if rooted else [()]:
                 want = counting._count_maps(every, g, root, [10**9])
                 assert plan[6] * counting._count_maps(plan, g, root, [10**9]) == want
-    assert counting._plan(h)[6] == automorphism_count(h.edges)
+    assert counting._plan(h, h.edges, ())[6] == automorphism_count(h.edges)
     for g in hosts:
         copies = iter_copies(P, g)
         assert len(copies) == len(set(copies)) == count_copies(P, g)
@@ -216,7 +220,7 @@ def test_batched_leaf_lists_one_map_per_group_orbit(name):
     h = PATTERNS[name].graph
     hosts = [_gnp(n, p, seed=n + int(10 * p)) for n, p in ((8, 0.6), (10, 0.4))]
     for rooted in (False, True):
-        for pins, bits, _ in counting._orbit_table(h, rooted):
+        for pins, bits, *_ in counting._orbit_table(h, rooted):
             subset = tuple(e for i, e in enumerate(h.edges) if bits >> i & 1)
             plan = counting._plan(h, subset, pins)
             every = counting._greedy_order(h.n, subset, pins)
