@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: sample, count, decompose, core, bounds, tail, scan, verify.
-Human-readable tables go to stdout by default; --format csv|json switches.
+Human-readable tables go to stdout by default; --format json switches, and
+so does csv for tail and scan.
 Errors are emitted as a JSON record on stderr. Exit codes: 0 success,
 1 verification failure or runtime error, 2 usage error.
 """
@@ -65,7 +66,7 @@ def _default_p(args, pattern) -> float:
     return threshold_probability(args.n, pattern.delta)
 
 
-def _add_common(p, *names):
+def _add_common(p, *names, formats=("table", "csv", "json")):
     if "pattern" in names:
         p.add_argument("--pattern", required=True, help="k3|c4|k4|k5 or @edgelist-file")
     if "n" in names:
@@ -78,7 +79,7 @@ def _add_common(p, *names):
     if "workers" in names:
         p.add_argument("--workers", type=int, default=1)
     if "format" in names:
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.add_argument("--format", choices=formats, default="table")
     if "out" in names:
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -101,11 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="@edgelist-file")
 
     p = sub.add_parser("decompose", help="spanned components of a graph")
-    _add_common(p, "pattern", "format", "out")
+    _add_common(p, "pattern", "format", "out", formats=("table", "json"))
     p.add_argument("--graph", required=True, help="@edgelist-file")
 
     p = sub.add_parser("core", help="peel a planted graph toward a core")
-    _add_common(p, "pattern", "n", "p", "format", "out")
+    _add_common(p, "pattern", "n", "p", "format", "out", formats=("table", "json"))
     p.add_argument("--graph", required=True, help="@edgelist-file of the planted graph")
     p.add_argument("--k", type=int, required=True, help="target copy count")
     p.add_argument("--w", type=float, default=0.0, help="slack parameter (default 1/ln n)")

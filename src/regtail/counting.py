@@ -462,21 +462,6 @@ def iter_copies(P: Pattern, g: SimpleGraph):
     return sorted(out, key=sorted)
 
 
-def count_copies_through_edge(P: Pattern, g: SimpleGraph, f) -> int:
-    """Number of copies of the pattern in g whose edge set contains f."""
-    a, b = f
-    if not g.has_edge(a, b):
-        raise EdgeAbsentError(f"edge {f} not present in graph")
-    state = [DEFAULT_MAP_BUDGET]
-    full = (1 << P.edge_count) - 1
-    total = 0
-    for pins, bits, size, _ in _orbit_table(P.graph, True):
-        if bits == full:
-            plan = _plan(P.graph, P.graph.edges, pins)
-            total += size * plan[6] * _count_maps(plan, g, (a, b), state)
-    return _per_copy(P, total)
-
-
 @dataclass(frozen=True)
 class PlantedModel:
     """G(n, p) conditioned on a planted edge set being present.

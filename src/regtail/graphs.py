@@ -352,13 +352,10 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         raise NotRegularError(f"degrees range over [{min(degs)}, {max(degs)}]")
     if not g.is_connected():
         raise NotConnectedError("pattern graph is not connected")
-    delta = degs[0]
-    if delta * g.n % 2 != 0:  # cannot happen for a valid simple graph
-        raise NotRegularError("q * delta must be even")
     return Pattern(
         graph=g,
         q=g.n,
-        delta=delta,
+        delta=degs[0],
         edge_count=g.m,
         aut_count=_plan(g, g.edges, ())[6],
         edge_triangles=min(len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges),
@@ -464,17 +461,12 @@ def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
     return graph, u, v
 
 
-def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
-    """Draw one G(n, p) sample from an existing generator: the batch
-    sampler with count = 1."""
-    _, u, v = sample_gnp_batch(n, p, 1, rng)
-    return SimpleGraph(n, zip(u.tolist(), v.tolist()))
-
-
 def sample_gnp(model: GnpModel) -> SimpleGraph:
-    """Sample G(n, p); identical models (including seed) yield identical graphs."""
+    """Sample G(n, p) as one graph of the batch sampler; identical models
+    (including seed) yield identical graphs."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(model.seed)))
-    return sample_gnp_with(model.n, model.p, rng)
+    _, u, v = sample_gnp_batch(model.n, model.p, 1, rng)
+    return SimpleGraph(model.n, zip(u.tolist(), v.tolist()))
 
 
 def thin_edges(g: SimpleGraph, keep: float, rng: np.random.Generator) -> SimpleGraph:
@@ -493,7 +485,9 @@ def thin_edges(g: SimpleGraph, keep: float, rng: np.random.Generator) -> SimpleG
 
 
 def read_edge_list(text: str) -> SimpleGraph:
-    """Parse the edge-list format: first line "n m", then m lines "u v"."""
+    """Parse the edge-list format: first line "n m", then m lines "u v".
+    The edges are checked by SimpleGraph, whose DomainError is raised as
+    ParseError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input")
@@ -509,25 +503,18 @@ def read_edge_list(text: str) -> SimpleGraph:
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"edge line must be 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ParseError(f"bad token in edge line {ln!r}") from exc
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"endpoint out of range in {ln!r} (n={n})")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise ParseError(f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return SimpleGraph(n, edges)
+    try:
+        return SimpleGraph(n, edges)
+    except DomainError as exc:  # a self-loop, an endpoint out of range or a duplicate
+        raise ParseError(str(exc)) from exc
 
 
 def write_edge_list(g: SimpleGraph) -> str:

@@ -311,8 +311,9 @@ def sweep_poisson(pattern_name, n, samples, seeds, workers):
 
 
 def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
-    """Peeling contract from a clique seed: strictly decreasing trace,
-    per-step drop below t, total drop within w*k, survivor is a core."""
+    """Peeling contract from a clique: strictly decreasing trace, per-step
+    drop below t, a Core verdict that is_core confirms; for a seed, also a
+    total drop within w*k and a nonempty survivor that is a core."""
     P = named_pattern(pattern_name)
     p = threshold_probability(n, P.delta)
     params = cores.SeedParams(n=n, p=p, k=k, q=P.q, cs=cs, w=w)  # w = 0: 1/ln(n)
@@ -328,7 +329,8 @@ def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
             problems.append(f"non-decreasing trace at step {i}")
         if drop >= params.t * (1 + 1e-9):
             problems.append(f"step {i} dropped {drop} >= t")
-    if trace[0] - trace[-1] > params.w * params.k * (1 + 1e-9):
+    # each edge drops less than t and t * edge_cap = w*k: a bound for seeds only
+    if ok_seed and trace[0] - trace[-1] > params.w * params.k * (1 + 1e-9):
         problems.append("total drop exceeded w*k")
     if ok_seed and report.result.m > 0 and report.verdict != "Core":
         problems.append(f"seed peeled to verdict {report.verdict}")
@@ -347,10 +349,10 @@ def check_peel(pattern_name, n, k, cs=10.0, w=0.0):
 
 
 @_violations
-def sweep_peel(pattern_names, k_values, n, cs=10.0):
+def sweep_peel(pattern_names, k_values, n):
     for name in pattern_names:
         for k in k_values:
-            yield check_peel(name, n, k, cs)
+            yield check_peel(name, n, k)
 
 
 class Size(int):

@@ -14,7 +14,9 @@ needs, built on the package's own marks and kernel. The full arrays over
 the 2^C(n,2) masks close the package's copy masks and copy unions with its
 subset closure, for the peeled histograms to be tested against, and the
 automorphism count enumerates every map under a plan that breaks nothing,
-for the symmetry-broken plans to be tested against.
+for the symmetry-broken plans to be tested against. The copies through an
+edge filter the package's copy listing, a path apart from the rooted
+planted sums that count them inside the package.
 """
 
 import math
@@ -338,3 +340,10 @@ def count_automorphisms(g) -> int:
     symmetry, within one budget cell of counting.DEFAULT_MAP_BUDGET."""
     plan = counting._greedy_order(g.n, g.edges, ())
     return counting._count_maps(plan, g, (), [counting.DEFAULT_MAP_BUDGET])
+
+
+def copies_through_edge(P, g, f) -> int:
+    """Number of copies of the pattern in g whose edge set holds f: the
+    copies that counting.iter_copies lists, filtered for f."""
+    f = tuple(sorted(f))
+    return sum(f in copy for copy in counting.iter_copies(P, g))

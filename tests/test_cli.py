@@ -29,6 +29,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2
+    for command in ("decompose", "core"):  # they write no CSV
+        with pytest.raises(SystemExit) as exc:
+            _run_format(command, "csv", "g.edges", None)
+        assert exc.value.code == 2
 
 
 def test_count_k5(k5_file, capsys):
@@ -159,6 +163,13 @@ def test_tail_formats(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("k,n,p,estimate")
+    tail = {fmt: _run_format("tail", fmt, None, capsys) for fmt in ("csv", "json", "table")}
+    row = dict(zip(tails.CSV_HEADER.split(","), tail["csv"].splitlines()[1].split(",")))
+    (got,) = json.loads(tail["json"])["rows"]
+    assert got["estimate"] == float(row["estimate"]) and got["samples"] == 300
+    assert tail["table"] == (f"P(count >= 1) ~ {got['estimate']:.6g}  [95% CI "
+                             f"{got['ci_low']:.6g}, {got['ci_high']:.6g}]  (300 samples,"
+                             f" n=6, p={got['p']:.6g})\n")
 
 
 def test_scan_deterministic_csv(tmp_path):
@@ -170,6 +181,82 @@ def test_scan_deterministic_csv(tmp_path):
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# A small run of each command that takes --format, without the flag.
+FORMAT_RUNS = {
+    "decompose": ["decompose", "--pattern", "k3", "--graph", "@{graph}"],
+    "core": ["core", "--pattern", "k3", "--graph", "@{graph}", "--n", "50", "--k", "4"],
+    "tail": ["tail", "--pattern", "k3", "--n", "6", "--k", "1", "--samples", "300",
+             "--seed", "1"],
+    "scan": ["scan", "--pattern", "k3", "--n", "8", "--kmax", "3", "--samples", "300",
+             "--seed", "2"],
+}
+
+
+def _run_format(command, fmt, graph, capsys):
+    argv = [a.format(graph=graph) for a in FORMAT_RUNS[command]] + ["--format", fmt]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def _written_format(text):
+    """csv when the text opens with the scan header, json when it parses,
+    else table."""
+    if text.startswith(tails.CSV_HEADER + "\n"):
+        return "csv"
+    try:
+        json.loads(text)
+    except ValueError:
+        return "table"
+    return "json"
+
+
+def test_format_choices_are_the_formats_written(k5_file, capsys):
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    offered = {name: action.choices for name, parser in commands.items()
+               for action in parser._actions if action.dest == "format"}
+    assert offered == {"decompose": ("table", "json"), "core": ("table", "json"),
+                       "tail": ("table", "csv", "json"), "scan": ("table", "csv", "json")}
+    for command, choices in offered.items():
+        written = tuple(_written_format(_run_format(command, fmt, k5_file, capsys))
+                        for fmt in choices)
+        assert written == choices, command
+
+
+def test_scan_formats_carry_the_same_rows(capsys):
+    scan = {fmt: _run_format("scan", fmt, None, capsys) for fmt in ("csv", "json", "table")}
+    rows = json.loads(scan["json"])["rows"]
+    csv_rows = scan["csv"].splitlines()[1:]
+    assert [r["k"] for r in rows] == [1, 2, 3] == [int(line.split(",")[0]) for line in csv_rows]
+    assert [r["estimate"] for r in rows] == [float(line.split(",")[3]) for line in csv_rows]
+    table = scan["table"].splitlines()
+    assert table[0].split() == ["k", "estimate", "ci_low", "ci_high", "exact", "L",
+                                "clique_lb", "disjoint_lb"]
+    assert [line.split()[:2] for line in table[1:4]] == [
+        [str(r["k"]), f"{r['estimate']:.5g}"] for r in rows]
+    assert table[4].endswith(f"k = {json.loads(scan['json'])['crossover']}")
+    assert len(table) == 5
+
+
+def test_decompose_and_core_tables_match_their_json(k5_file, capsys):
+    payload = json.loads(_run_format("decompose", "json", k5_file, capsys))
+    (comp,) = payload["components"]
+    assert _run_format("decompose", "table", k5_file, capsys).splitlines() == [
+        f"{'v':>4} {'e':>4} {'copies':>7} {'l_star':>7} {'f':>10} {'lower':>10}",
+        f"{5:>4} {10:>4} {10:>7} {4:>7} {comp['f']:>10.4f} {comp['lower']:>10.4f}",
+        "dropped edges: 0",
+    ]
+    payload = json.loads(_run_format("core", "json", k5_file, capsys))
+    table = _run_format("core", "table", k5_file, capsys).splitlines()
+    assert table[:2] == [f"verdict: {payload['verdict']}",
+                         f"peeled: {len(payload['peeled_edges'])} edges,"
+                         f" remaining: {payload['edges_remaining']}"]
+    assert table[3] == (f"min degree: {payload['min_degree']},"
+                        f" min degree product: {payload['min_degree_product']}")
+    assert len(table) == 5
 
 
 def test_verify_targets_pass(capsys):

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     copies_in_complete_graph,
     copies_in_graph,
+    copies_through_edge,
     copy_count_array,
     count_automorphisms,
     edge_rooted_oracle,
@@ -31,7 +32,6 @@ from regtail.counting import (
     HasSpannedWithCopies,
     PlantedModel,
     count_copies,
-    count_copies_through_edge,
     count_injective_homs,
     edge_rooted_expectation,
     edge_rooted_outside_sum,
@@ -83,15 +83,21 @@ def test_iter_copies(k3):
     assert all(len(c) == 3 for c in copies)
 
 
+def _through(P, g, f):
+    """Copies through f in g, from the whole-pattern terms of the rooted
+    planted sum at f with g planted."""
+    return counting._per_copy(P, counting._rooted_sum(P, PlantedModel(g.n, 0.5, g), f)[1])
+
+
 def test_count_through_edge(k3, k5):
-    assert count_copies_through_edge(k3, complete_graph(4), (0, 1)) == 2
+    assert _through(k3, complete_graph(4), (0, 1)) == 2
     tri = complete_graph(3)
-    assert count_copies_through_edge(k3, tri, (1, 2)) == 1
+    assert _through(k3, tri, (1, 2)) == 1
     with pytest.raises(EdgeAbsentError):
-        count_copies_through_edge(k3, empty_graph(4), (0, 1))
+        _through(k3, empty_graph(4), (0, 1))
     # sum over edges counts each copy once per its edges
     g = complete_graph(5)
-    total = sum(count_copies_through_edge(k3, g, e) for e in g.edges)
+    total = sum(_through(k3, g, e) for e in g.edges)
     assert total == k3.edge_count * count_copies(k3, g)
 
 
@@ -102,8 +108,9 @@ def test_edge_sum_identity_randomized(k3, c4):
             n = int(rng.integers(pat.q, 9))
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = SimpleGraph(n, edges)
-            total = sum(count_copies_through_edge(pat, g, e) for e in g.edges)
-            assert total == pat.edge_count * count_copies(pat, g)
+            through = [_through(pat, g, e) for e in g.edges]
+            assert through == [copies_through_edge(pat, g, e) for e in g.edges]
+            assert sum(through) == pat.edge_count * count_copies(pat, g)
 
 
 def test_monotone_under_edge_addition(k3, c4):
@@ -204,7 +211,8 @@ def test_orbit_table_is_capped():
         planted_expectation(k8, PlantedModel(20, 0.1, complete_graph(8)))
     assert time.perf_counter() - start < 1.0
     with pytest.raises(TooLargeError):
-        count_copies_through_edge(make_pattern(complete_graph(7)), complete_graph(7), (0, 1))
+        edge_rooted_expectation(make_pattern(complete_graph(7)),
+                                PlantedModel(7, 0.5, complete_graph(7)), (0, 1))
 
 
 def _disjoint_copies(pat, count):
@@ -287,7 +295,7 @@ def test_prism_vs_oracles(seed):
         without = [e for e in edges if e != f]
         through = subset_copy_count(pat.graph.edges, edges) - subset_copy_count(
             pat.graph.edges, without)
-        assert count_copies_through_edge(pat, g, f) == through
+        assert _through(pat, g, f) == through
 
 
 # Sparse planted graphs on 9 labels, on which most planted terms have no
@@ -424,7 +432,7 @@ def test_edge_rooted_vs_oracle(k3, c4):
             want = edge_rooted_oracle(pat.graph.edges, n, p, edges, f)
             assert rooted == pytest.approx(want, rel=1e-10)
             outside = edge_rooted_outside_sum(pat, PlantedModel(n, p, g), f)
-            inside = count_copies_through_edge(pat, g, f)
+            inside = copies_through_edge(pat, g, f)
             assert outside == pytest.approx(want - inside, rel=1e-9, abs=1e-12)
 
 
@@ -434,6 +442,25 @@ def test_exact_probability_basics(k3):
     assert exact_probability(model, CopiesAtLeast(k3, 1)) == pytest.approx(0.3**3)
     with pytest.raises(TooLargeError):
         exact_probability(GnpModel(8, 0.1), CopiesAtLeast(k3, 1))
+
+
+@pytest.mark.parametrize("p", (0.0, 1.0))
+def test_exact_layer_at_p_0_and_1(p, k3, c4):
+    """G(n, 0) is the empty graph and G(n, 1) is K_n: each event has
+    probability 1 if that graph has it and 0 otherwise."""
+    for pat, n in ((k3, 6), (c4, 5)):
+        host = complete_graph(n) if p == 1.0 else empty_graph(n)
+        copies = copies_in_graph(pat.graph.edges, n, host.edges)
+        table = tail_probability_table(pat, n, p)
+        assert table.tolist() == [float(k <= len(copies)) for k in range(len(table))]
+        model = GnpModel(n, p)
+        for event, holds in (
+            (CopiesAtLeast(pat, len(copies)), True),
+            (CopiesAtLeast(pat, len(copies) + 1), False),
+            (DisjointCopies(pat, 2), has_disjoint_copies(copies, 2)),
+            (HasSpannedWithCopies(pat, 2), max_component_copies(copies) >= 2),
+        ):
+            assert exact_probability(model, event) == float(holds), (pat, n, event)
 
 
 def test_exact_probability_against_direct_enumeration(k3, c4):

@@ -26,7 +26,6 @@ from regtail.graphs import (
     sample_gnp,
     sample_gnp_batch,
     sample_gnp_slots,
-    sample_gnp_with,
     thin_edges,
     threshold_probability,
     worker_rng,
@@ -152,16 +151,17 @@ def _scattered_graph(n, seed):
 
 def _frame_results(n, edges, cutoff, monkeypatch):
     """Everything the kernel answers on the graph, built under one cutoff:
-    the frame kind, copy counts and lists, copies through edges, planted
-    credits, and pinned runs with an isolated label at either pin."""
+    the frame kind, copy counts and lists, rooted sums at some edges,
+    planted credits, and pinned runs with an isolated label at either pin."""
     monkeypatch.setattr(graphs, "LABEL_FRAME_MAX", cutoff)
     g = SimpleGraph(n, edges)
+    model = counting.PlantedModel(n + 2, 0.3, g)
     out = {"label frame": g._bit_view().nbrs is None}
     for name in ("k3", "c4", "k4"):
         P = named_pattern(name)
         out[name] = (counting.count_copies(P, g), counting.iter_copies(P, g),
-                     [counting.count_copies_through_edge(P, g, f) for f in g.edges[::3]],
-                     counting.planted_edge_deltas(P, counting.PlantedModel(n + 2, 0.3, g)))
+                     [counting.edge_rooted_outside_sum(P, model, f) for f in g.edges[::3]],
+                     counting.planted_edge_deltas(P, model))
     plan = counting._plan(complete_graph(3), complete_graph(3).edges, (0, 1))
     isolated = next(v for v in range(n) if not g.degree(v))
     out["isolated pin"] = [counting._count_maps(plan, g, pins, [10**9])
@@ -276,7 +276,7 @@ def test_sample_gnp_mean_edge_count():
     rng = worker_rng(2024, 0)
     total = 0
     for _ in range(n_samples):
-        total += sample_gnp_with(100, 0.01, rng).m
+        total += sample_gnp_batch(100, 0.01, 1, rng)[0].size
     mean = total / n_samples
     sigma = math.sqrt(4950 * 0.01 * 0.99 / n_samples)
     assert abs(mean - 49.5) <= 3 * sigma
@@ -388,7 +388,8 @@ def test_thinning_composition():
     rng = worker_rng(7, 0)
     hits = 0
     for _ in range(trials):
-        g = sample_gnp_with(5, p1, rng)
+        _, u, v = sample_gnp_batch(5, p1, 1, rng)
+        g = SimpleGraph(5, zip(u.tolist(), v.tolist()))
         t = thin_edges(g, p2, rng)
         hits += t.has_edge(0, 1)
     target = p1 * p2
@@ -406,12 +407,15 @@ def test_edge_list_roundtrip():
 
 
 def test_edge_list_errors():
+    # the edge checks are SimpleGraph's, raised as ParseError
+    with pytest.raises(ParseError, match=r"^edge \(0, 3\) has endpoint outside \[0, 3\)$"):
+        read_edge_list("3 1\n0 3\n")
+    with pytest.raises(ParseError, match=r"^self-loop at vertex 0$"):
+        read_edge_list("3 1\n0 0\n")
+    with pytest.raises(ParseError, match=r"^duplicate edge \(0, 1\)$"):
+        read_edge_list("3 2\n0 1\n1 0\n")
     with pytest.raises(ParseError):
-        read_edge_list("3 1\n0 3\n")  # endpoint out of range
-    with pytest.raises(ParseError):
-        read_edge_list("3 1\n0 0\n")  # self-loop
-    with pytest.raises(ParseError):
-        read_edge_list("3 2\n0 1\n0 1\n")  # duplicate
+        read_edge_list("-1 0\n")  # negative header count
     with pytest.raises(ParseError):
         read_edge_list("3 2\n0 1\n")  # wrong edge count
     with pytest.raises(ParseError):

@@ -22,7 +22,7 @@ from regtail import counting, graphs
 from regtail.counting import (
     PlantedModel,
     count_copies,
-    count_copies_through_edge,
+    edge_rooted_expectation,
     iter_copies,
     planted_edge_deltas,
     planted_expectation,
@@ -51,10 +51,19 @@ def _gnp(n, p, seed):
     return SimpleGraph(n, [e for e, k in zip(pairs, keep) if k])
 
 
+def _through(P, g, f):
+    """Copies through f in g, from the kernel runs of the rooted planted
+    sums' whole-pattern terms, each pinning a pattern arc onto f."""
+    return counting._per_copy(P, sum(
+        size * group * counting._count_maps(plan, g, f, [10**9])
+        for plan, k, _, size, group, *_ in counting._planted_terms(P.graph, True)
+        if k == P.edge_count))
+
+
 @pytest.mark.parametrize("name", PATTERNS)
 @pytest.mark.parametrize("n", range(7, 13))
 def test_kernel_matches_oracles(name, n):
-    """Counts, listed copies and copies through an edge (the pinned path)
+    """Counts, listed copies and copies through an edge (the rooted sums' pinned path)
     on seeded G(n, p) graphs, sparse enough to leave several components
     and isolated vertices and dense enough to hold many copies."""
     P = PATTERNS[name]
@@ -64,7 +73,7 @@ def test_kernel_matches_oracles(name, n):
         assert count_copies(P, g) == len(want)
         assert iter_copies(P, g) == want
         for f in g.edges[:: max(1, g.m // 5)]:
-            assert count_copies_through_edge(P, g, f) == sum(f in c for c in want)
+            assert _through(P, g, f) == sum(f in c for c in want)
 
 
 @pytest.mark.parametrize("n", (7, 8))
@@ -144,9 +153,14 @@ BOUNDARY = {
     "plain_c4": (67, 192, MAP, lambda: count_copies(C4, _gnp(11, 0.4, 1))),
     "plain_k4": (97, 550, MAP, lambda: count_copies(K4, _gnp(12, 0.6, 2))),
     "automorphisms_k5": (325, 325, MAP, lambda: count_automorphisms(complete_graph(5))),
-    "pinned_k4_k6": (10, 16, MAP, lambda: count_copies_through_edge(
-        K4, complete_graph(6), (0, 1))),
-    "pinned_c4": (13, 13, MAP, lambda: count_copies_through_edge(C4, _gnp(10, 0.5, 3), (0, 1))),
+    # K3's rooted terms pin two of three positions: each draw, and the
+    # refusal, comes at the last position
+    "pinned_k3": (7, 7, PLANTED, lambda: edge_rooted_expectation(
+        K3, PlantedModel(9, 0.1, _gnp(9, 0.5, 6)), (0, 2))),
+    "pinned_k4_k6": (226, 268, PLANTED, lambda: edge_rooted_expectation(
+        K4, PlantedModel(6, 0.1, complete_graph(6)), (0, 1))),
+    "pinned_c4": (101, 113, PLANTED, lambda: edge_rooted_expectation(
+        C4, PlantedModel(10, 0.2, _gnp(10, 0.5, 3)), (0, 1))),
     "planted_k3": (110, 186, PLANTED, lambda: planted_expectation(
         K3, PlantedModel(20, 0.1, _gnp(9, 0.5, 4)))),
     "planted_c4_deltas": (505, 1212, PLANTED, lambda: planted_edge_deltas(

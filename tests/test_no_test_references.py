@@ -1,7 +1,8 @@
-"""The full-array references over the 2^C(n,2) masks and the automorphism
-listing serve only the tests, so they live in tests/oracles.py: the package
-keeps no count_automorphisms or copy_count_array, and no class of it has a
-mask_array."""
+"""The full-array references over the 2^C(n,2) masks, the automorphism
+listing and the copies through an edge serve only the tests, so they live in
+tests/oracles.py: the package keeps no count_automorphisms, copy_count_array
+or count_copies_through_edge, and no class of it has a mask_array. One G(n, p)
+draw as a graph is sample_gnp alone, with no sample_gnp_with beside it."""
 
 import importlib
 import inspect
@@ -19,8 +20,10 @@ def test_package_keeps_no_test_only_reference():
     names = {f"{m.__name__}.{name}" for m in _modules() for name in vars(m)}
     assert "regtail.counting.DisjointCopies" in names
     assert "regtail.counting.count_copies" in names
-    assert {name for name in names
-            if name.rsplit(".", 1)[1] in ("count_automorphisms", "copy_count_array")} == set()
+    assert "regtail.graphs.sample_gnp" in names
+    gone = ("count_automorphisms", "copy_count_array", "count_copies_through_edge",
+            "sample_gnp_with")
+    assert {name for name in names if name.rsplit(".", 1)[1] in gone} == set()
 
 
 def test_no_event_class_has_a_mask_array():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from regtail import bounds, counting, verify
+from regtail import bounds, cores, counting, verify
 from regtail.errors import DomainError
-from regtail.graphs import SimpleGraph, named_pattern
+from regtail.graphs import SimpleGraph, named_pattern, threshold_probability
 
 
 def test_sweeps_clean():
@@ -36,6 +36,38 @@ def test_check_peel_reuses_the_peel_pass(monkeypatch):
     monkeypatch.setattr(counting, "_planted_sum", counted)
     assert verify.check_peel("k4", 50, 18) is None
     assert calls == [21, 21]
+
+
+def _peels_with_trace(monkeypatch, trace):
+    """Make cores.peel_to_core peel every edge of its input and report the
+    given expectation trace."""
+    def peel(g, params, P):
+        return cores.CoreReport(result=SimpleGraph(0, ()), peeled_edges=g.edges,
+                                expectation_trace=tuple(trace), verdict="Empty",
+                                min_degree=None, min_degree_product=None)
+
+    monkeypatch.setattr(cores, "peel_to_core", peel)
+
+
+def test_check_peel_bounds_the_total_drop_of_seeds_only(monkeypatch):
+    # at cs = 0.01 the edge cap is 0.243, so K3's 3 edges are no seed, and
+    # its drop of 1.06 on peeling may exceed w*k = 0.511
+    record = {"target": "peel", "pattern": "k3", "n": 50, "k": 2, "cs": 0.01, "w": 0.0}
+    assert verify.replay(record) == {"ok": True, "target": "peel", "violation": None}
+    # at cs = 10 the clique is a seed: steps below t that add up to more
+    # than w*k are reported
+    params = cores.SeedParams(n=50, p=threshold_probability(50, 2), k=2, q=3)
+    steps = int(params.w * params.k / (params.t / 2)) + 2
+    _peels_with_trace(monkeypatch, [2.0 - i * params.t / 2 for i in range(steps)])
+    assert verify.check_peel("k3", 50, 2)["problems"] == ["total drop exceeded w*k"]
+
+
+def test_check_peel_reports_each_bad_step(monkeypatch):
+    # a trace from below (1-w)*k: no seed, so only the steps are checked
+    _peels_with_trace(monkeypatch, [1.0, 1.0, 0.5, 0.6])
+    assert verify.check_peel("k3", 50, 2)["problems"] == [
+        "non-decreasing trace at step 1", "step 2 dropped 0.5 >= t",
+        "non-decreasing trace at step 3"]
 
 
 def test_replay_each_target():
