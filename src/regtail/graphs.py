@@ -461,12 +461,17 @@ def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
     return graph, u, v
 
 
+def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
+    """Draw one G(n, p) sample from an existing generator: the batch
+    sampler with count = 1."""
+    _, u, v = sample_gnp_batch(n, p, 1, rng)
+    return SimpleGraph(n, zip(u.tolist(), v.tolist()))
+
+
 def sample_gnp(model: GnpModel) -> SimpleGraph:
-    """Sample G(n, p) as one graph of the batch sampler; identical models
-    (including seed) yield identical graphs."""
+    """Sample G(n, p); identical models (including seed) yield identical graphs."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(model.seed)))
-    _, u, v = sample_gnp_batch(model.n, model.p, 1, rng)
-    return SimpleGraph(model.n, zip(u.tolist(), v.tolist()))
+    return sample_gnp_with(model.n, model.p, rng)
 
 
 def thin_edges(g: SimpleGraph, keep: float, rng: np.random.Generator) -> SimpleGraph:
@@ -487,7 +492,7 @@ def thin_edges(g: SimpleGraph, keep: float, rng: np.random.Generator) -> SimpleG
 def read_edge_list(text: str) -> SimpleGraph:
     """Parse the edge-list format: first line "n m", then m lines "u v".
     The edges are checked by SimpleGraph, whose DomainError is raised as
-    ParseError."""
+    ParseError; a bad edge is reported before a malformed line below it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input")
@@ -504,13 +509,25 @@ def read_edge_list(text: str) -> SimpleGraph:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"edge line must be 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad token in edge line {ln!r}") from exc
+            edges.append(_edge_line(ln))
+        except ParseError:
+            _checked_graph(n, edges)  # an edge above this line may be bad
+            raise
+    return _checked_graph(n, edges)
+
+
+def _edge_line(ln: str) -> tuple:
+    parts = ln.split()
+    if len(parts) != 2:
+        raise ParseError(f"edge line must be 'u v', got {ln!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"bad token in edge line {ln!r}") from exc
+
+
+def _checked_graph(n: int, edges: list) -> SimpleGraph:
     try:
         return SimpleGraph(n, edges)
     except DomainError as exc:  # a self-loop, an endpoint out of range or a duplicate

@@ -16,7 +16,8 @@ subset closure, for the peeled histograms to be tested against, and the
 automorphism count enumerates every map under a plan that breaks nothing,
 for the symmetry-broken plans to be tested against. The copies through an
 edge filter the package's copy listing, a path apart from the rooted
-planted sums that count them inside the package.
+planted sums that count them inside the package; rooted_copies_through_edge
+runs those sums' whole-pattern terms alone, for the tests of the rooted path.
 """
 
 import math
@@ -347,3 +348,13 @@ def copies_through_edge(P, g, f) -> int:
     copies that counting.iter_copies lists, filtered for f."""
     f = tuple(sorted(f))
     return sum(f in copy for copy in counting.iter_copies(P, g))
+
+
+def rooted_copies_through_edge(P, g, f) -> int:
+    """The package's own count of the copies through f: the kernel runs of
+    the rooted planted sums' whole-pattern terms, each pinning a pattern
+    arc onto f, without the sub-pattern terms around them."""
+    return counting._per_copy(P, sum(
+        size * group * counting._count_maps(plan, g, f, [10**9])
+        for plan, k, _, size, group, *_ in counting._planted_terms(P.graph, True)
+        if k == P.edge_count))

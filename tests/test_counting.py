@@ -20,6 +20,7 @@ from oracles import (
     max_component_copies,
     outside_edge_oracle,
     planted_expectation_oracle,
+    rooted_copies_through_edge,
     subset_closure_oracle,
     subset_copy_count,
 )
@@ -83,21 +84,15 @@ def test_iter_copies(k3):
     assert all(len(c) == 3 for c in copies)
 
 
-def _through(P, g, f):
-    """Copies through f in g, from the whole-pattern terms of the rooted
-    planted sum at f with g planted."""
-    return counting._per_copy(P, counting._rooted_sum(P, PlantedModel(g.n, 0.5, g), f)[1])
-
-
 def test_count_through_edge(k3, k5):
-    assert _through(k3, complete_graph(4), (0, 1)) == 2
+    assert rooted_copies_through_edge(k3, complete_graph(4), (0, 1)) == 2
     tri = complete_graph(3)
-    assert _through(k3, tri, (1, 2)) == 1
-    with pytest.raises(EdgeAbsentError):
-        _through(k3, empty_graph(4), (0, 1))
+    assert rooted_copies_through_edge(k3, tri, (1, 2)) == 1
+    with pytest.raises(EdgeAbsentError):  # the rooted sums' own edge check
+        edge_rooted_expectation(k3, PlantedModel(4, 0.5, empty_graph(4)), (0, 1))
     # sum over edges counts each copy once per its edges
     g = complete_graph(5)
-    total = sum(_through(k3, g, e) for e in g.edges)
+    total = sum(rooted_copies_through_edge(k3, g, e) for e in g.edges)
     assert total == k3.edge_count * count_copies(k3, g)
 
 
@@ -108,7 +103,7 @@ def test_edge_sum_identity_randomized(k3, c4):
             n = int(rng.integers(pat.q, 9))
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             g = SimpleGraph(n, edges)
-            through = [_through(pat, g, e) for e in g.edges]
+            through = [rooted_copies_through_edge(pat, g, e) for e in g.edges]
             assert through == [copies_through_edge(pat, g, e) for e in g.edges]
             assert sum(through) == pat.edge_count * count_copies(pat, g)
 
@@ -295,7 +290,7 @@ def test_prism_vs_oracles(seed):
         without = [e for e in edges if e != f]
         through = subset_copy_count(pat.graph.edges, edges) - subset_copy_count(
             pat.graph.edges, without)
-        assert _through(pat, g, f) == through
+        assert rooted_copies_through_edge(pat, g, f) == through
 
 
 # Sparse planted graphs on 9 labels, on which most planted terms have no

@@ -26,6 +26,7 @@ from regtail.graphs import (
     sample_gnp,
     sample_gnp_batch,
     sample_gnp_slots,
+    sample_gnp_with,
     thin_edges,
     threshold_probability,
     worker_rng,
@@ -276,7 +277,7 @@ def test_sample_gnp_mean_edge_count():
     rng = worker_rng(2024, 0)
     total = 0
     for _ in range(n_samples):
-        total += sample_gnp_batch(100, 0.01, 1, rng)[0].size
+        total += sample_gnp_with(100, 0.01, rng).m
     mean = total / n_samples
     sigma = math.sqrt(4950 * 0.01 * 0.99 / n_samples)
     assert abs(mean - 49.5) <= 3 * sigma
@@ -388,8 +389,7 @@ def test_thinning_composition():
     rng = worker_rng(7, 0)
     hits = 0
     for _ in range(trials):
-        _, u, v = sample_gnp_batch(5, p1, 1, rng)
-        g = SimpleGraph(5, zip(u.tolist(), v.tolist()))
+        g = sample_gnp_with(5, p1, rng)
         t = thin_edges(g, p2, rng)
         hits += t.has_edge(0, 1)
     target = p1 * p2
@@ -414,6 +414,13 @@ def test_edge_list_errors():
         read_edge_list("3 1\n0 0\n")
     with pytest.raises(ParseError, match=r"^duplicate edge \(0, 1\)$"):
         read_edge_list("3 2\n0 1\n1 0\n")
+    # a bad edge is reported before a malformed line below it, and after one above it
+    with pytest.raises(ParseError, match=r"^self-loop at vertex 2$"):
+        read_edge_list("3 2\n2 2\n0 x\n")
+    with pytest.raises(ParseError, match=r"^duplicate edge \(0, 1\)$"):
+        read_edge_list("3 3\n0 1\n1 0\n0 1 2\n")
+    with pytest.raises(ParseError, match=r"^bad token in edge line '0 x'$"):
+        read_edge_list("3 2\n0 x\n2 2\n")
     with pytest.raises(ParseError):
         read_edge_list("-1 0\n")  # negative header count
     with pytest.raises(ParseError):

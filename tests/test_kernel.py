@@ -17,6 +17,7 @@ from oracles import (
     count_automorphisms,
     edge_rooted_oracle,
     planted_expectation_oracle,
+    rooted_copies_through_edge,
 )
 from regtail import counting, graphs
 from regtail.counting import (
@@ -51,15 +52,6 @@ def _gnp(n, p, seed):
     return SimpleGraph(n, [e for e, k in zip(pairs, keep) if k])
 
 
-def _through(P, g, f):
-    """Copies through f in g, from the kernel runs of the rooted planted
-    sums' whole-pattern terms, each pinning a pattern arc onto f."""
-    return counting._per_copy(P, sum(
-        size * group * counting._count_maps(plan, g, f, [10**9])
-        for plan, k, _, size, group, *_ in counting._planted_terms(P.graph, True)
-        if k == P.edge_count))
-
-
 @pytest.mark.parametrize("name", PATTERNS)
 @pytest.mark.parametrize("n", range(7, 13))
 def test_kernel_matches_oracles(name, n):
@@ -73,7 +65,7 @@ def test_kernel_matches_oracles(name, n):
         assert count_copies(P, g) == len(want)
         assert iter_copies(P, g) == want
         for f in g.edges[:: max(1, g.m // 5)]:
-            assert _through(P, g, f) == sum(f in c for c in want)
+            assert rooted_copies_through_edge(P, g, f) == sum(f in c for c in want)
 
 
 @pytest.mark.parametrize("n", (7, 8))

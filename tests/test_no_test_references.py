@@ -1,8 +1,7 @@
 """The full-array references over the 2^C(n,2) masks, the automorphism
 listing and the copies through an edge serve only the tests, so they live in
 tests/oracles.py: the package keeps no count_automorphisms, copy_count_array
-or count_copies_through_edge, and no class of it has a mask_array. One G(n, p)
-draw as a graph is sample_gnp alone, with no sample_gnp_with beside it."""
+or count_copies_through_edge, and no class of it has a mask_array."""
 
 import importlib
 import inspect
@@ -20,9 +19,7 @@ def test_package_keeps_no_test_only_reference():
     names = {f"{m.__name__}.{name}" for m in _modules() for name in vars(m)}
     assert "regtail.counting.DisjointCopies" in names
     assert "regtail.counting.count_copies" in names
-    assert "regtail.graphs.sample_gnp" in names
-    gone = ("count_automorphisms", "copy_count_array", "count_copies_through_edge",
-            "sample_gnp_with")
+    gone = ("count_automorphisms", "copy_count_array", "count_copies_through_edge")
     assert {name for name in names if name.rsplit(".", 1)[1] in gone} == set()
 
 
