@@ -253,15 +253,3 @@ def exact_binomial_tail(n: int, m: int, p: float) -> float:
         lw = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
         terms.append(math.exp(lw + j * lp + (n - j) * lq))
     return min(1.0, math.fsum(terms))
-
-
-def leading_order_tail(n: int, m: int, p: float) -> float:
-    """The first-order tail expression exp(-M * ln(M / (N*p))).
-
-    Reported for comparison only: it matches the exact tail exponent only up
-    to vanishing corrections, so it is never asserted as an upper bound.
-    """
-    _check_tail_args(n, m, p)
-    if m == 0:
-        return 1.0
-    return math.exp(-m * math.log(m / (n * p)))

@@ -26,7 +26,7 @@ from .bounds import (
     tail_rate,
 )
 from .cores import SeedParams, clique_seed_size, peel_to_core
-from .errors import DomainError, RegtailError
+from .errors import DomainError, ParseError, RegtailError
 from .graphs import (
     GnpModel,
     SimpleGraph,
@@ -41,16 +41,25 @@ from .counting import count_copies
 from .spanned import spanned_decompose, spanning_excess_report
 from .tails import crossover_k, mc_tail, rows_to_csv, rows_to_json, scan_phase_transition
 
+
+def _read_graph_file(path: str) -> SimpleGraph:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot decode {path} as {exc.encoding}: {exc.reason} at byte {exc.start}"
+        ) from None
+    return read_edge_list(text)
+
+
 def _load_pattern(spec: str):
     if spec.startswith("@"):
-        text = Path(spec[1:]).read_text()
-        return make_pattern(read_edge_list(text))
+        return make_pattern(_read_graph_file(spec[1:]))
     return named_pattern(spec)
 
 
 def _load_graph(spec: str) -> SimpleGraph:
-    path = spec[1:] if spec.startswith("@") else spec
-    return read_edge_list(Path(path).read_text())
+    return _read_graph_file(spec[1:] if spec.startswith("@") else spec)
 
 
 def _emit(text: str, out: str | None):

@@ -1,6 +1,6 @@
 """Seed and core predicates over planted graphs, the edge-peeling procedure
-that turns seeds into cores, degree-product consistency reports, dyadic
-degree partitions, and clique seed sizing.
+that turns seeds into cores, degree-product consistency reports, and clique
+seed sizing.
 
 A seed is a planted graph whose conditional expected copy count nearly
 reaches the target k while using few edges; a core additionally requires
@@ -148,7 +148,7 @@ def peel_to_core(g_star: SimpleGraph, params: SeedParams, P: Pattern) -> CoreRep
         f = violating[0]
         delta_f = deltas[f]
         peeled.append(f)
-        work = work.with_edges(e for e in work.edges if e != f)
+        work = SimpleGraph(work.n, (e for e in work.edges if e != f))
         expectation, deltas = planted_edge_deltas(P, _model(params, work))
         drop = trace[-1] - expectation
         tol = 1e-9 * max(1.0, trace[-1])
@@ -217,119 +217,6 @@ def degree_product_report(g_star: SimpleGraph, params: SeedParams, P: Pattern):
     return out
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Dyadic degree partition around a threshold g.
-
-    L holds the support vertices with degree >= g, split into classes
-    L_i = {g*2**(i-1) <= d < g*2**i} for i = 1..m, with m minimal so every
-    degree is below g*2**m. R holds the rest, with nested sets
-    R_j = {d >= g*2**(-j)} for j = 1..j_max (j_max large enough to absorb
-    every support vertex). e_ij counts edges between L_i and R_j - R_{j-1}.
-    """
-
-    g_threshold: float
-    degrees: dict
-    left: tuple
-    right: tuple
-    left_classes: dict
-    right_classes: dict
-    e_ij: dict
-    m: int
-    j_max: int
-    s: int
-    e_prime: int
-    e_dprime: int
-    r_prime: int
-
-
-def degree_partition(g_star: SimpleGraph, g_threshold: float, s: int = 1) -> DegreeProfile:
-    """Partition the support of a planted graph by degree around g_threshold.
-
-    s controls the summary scalars: the top s left classes form L', the
-    vertices outside R_{m-s} form R', e' counts L'-R' edges and e'' counts
-    edges between L_i and R_i for i <= m-s.
-    """
-    if g_threshold <= 0:
-        raise DomainError(f"threshold must be positive, got {g_threshold}")
-    if s < 0:
-        raise DomainError(f"s must be nonnegative, got {s}")
-    support = g_star.support()
-    deg = {v: g_star.degree(v) for v in support}
-    left = tuple(v for v in support if deg[v] >= g_threshold)
-    right = tuple(v for v in support if deg[v] < g_threshold)
-
-    m = 0
-    if left:
-        dmax = max(deg[v] for v in left)
-        while dmax >= g_threshold * 2**m:
-            m += 1
-    left_classes = {
-        i: tuple(
-            v
-            for v in left
-            if g_threshold * 2 ** (i - 1) <= deg[v] < g_threshold * 2**i
-        )
-        for i in range(1, m + 1)
-    }
-
-    j_max = m
-    if right:
-        dmin = min(deg[v] for v in right)
-        while j_max < 1 or g_threshold * 2.0 ** (-j_max) > dmin:
-            j_max += 1
-    right_classes = {
-        j: tuple(v for v in right if deg[v] >= g_threshold * 2.0 ** (-j))
-        for j in range(1, j_max + 1)
-    }
-
-    left_of = {v: i for i, vs in left_classes.items() for v in vs}
-    ring_of = {}
-    prev: set = set()
-    for j in range(1, j_max + 1):
-        for v in right_classes[j]:
-            if v not in prev:
-                ring_of[v] = j
-                prev.add(v)
-
-    e_ij: dict = {}
-    for u, v in g_star.edges:
-        for a, b in ((u, v), (v, u)):
-            if a in left_of and b in ring_of:
-                key = (left_of[a], ring_of[b])
-                e_ij[key] = e_ij.get(key, 0) + 1
-                break
-
-    s_eff = min(s, m)
-    lo_cut = m - s_eff
-    l_prime = {v for i in range(lo_cut + 1, m + 1) for v in left_classes.get(i, ())}
-    r_low = set(right_classes.get(lo_cut, ())) if lo_cut >= 1 else set()
-    r_prime_set = set(right) - r_low
-    e_prime = sum(
-        1
-        for u, v in g_star.edges
-        if (u in l_prime and v in r_prime_set) or (v in l_prime and u in r_prime_set)
-    )
-    e_dprime = sum(
-        cnt for (i, j), cnt in e_ij.items() if i <= lo_cut and j <= i
-    )
-    return DegreeProfile(
-        g_threshold=g_threshold,
-        degrees=deg,
-        left=left,
-        right=right,
-        left_classes=left_classes,
-        right_classes=right_classes,
-        e_ij=e_ij,
-        m=m,
-        j_max=j_max,
-        s=s_eff,
-        e_prime=e_prime,
-        e_dprime=e_dprime,
-        r_prime=len(r_prime_set),
-    )
-
-
 def clique_seed_size(P: Pattern, k: int) -> int:
     """Smallest clique size s whose copy count comb(s, q)*q!/aut reaches k."""
     if k < 1:
@@ -338,9 +225,3 @@ def clique_seed_size(P: Pattern, k: int) -> int:
     while math.comb(s, P.q) * P.copies_per_set < k:
         s += 1
     return s
-
-
-def default_degree_threshold(P: Pattern, k: int) -> float:
-    """Concrete stand-in k**(1/q) for the degree-partition threshold, with
-    the unknowable polylog factor set to 1."""
-    return k ** (1.0 / P.q)

@@ -41,10 +41,6 @@ class NotSpannedError(RegtailError):
     """Graph has an edge not covered by any pattern copy."""
 
 
-class NotEnoughCopiesError(RegtailError):
-    """Fewer copies available than the requested truncation size."""
-
-
 class PoolTooSmallError(RegtailError):
     """Vertex pool cannot host the requested glued construction."""
 

@@ -1,4 +1,4 @@
-"""Graph and pattern data types, threshold sampling, thinning, and edge-list codecs.
+"""Graph and pattern data types, threshold sampling, and edge-list codecs.
 
 Vertices are dense integer labels 0..n-1. Graphs are immutable after
 construction and safe to share across threads; all randomness flows through
@@ -190,12 +190,12 @@ class _BitView:
 class SimpleGraph:
     """Labeled undirected simple graph on vertices 0..n-1.
 
-    Edges are stored as a sorted tuple of (u, v) pairs with u < v; adjacency
-    sets and the bit view are built lazily so that sparse graphs on many
-    vertices stay cheap.
+    Edges are stored as a sorted tuple of (u, v) pairs with u < v; the
+    degree list and the bit view are built lazily so that sparse graphs on
+    many vertices stay cheap.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_edge_set", "_bits")
+    __slots__ = ("n", "edges", "_edge_set", "_degs", "_bits")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -212,24 +212,13 @@ class SimpleGraph:
             seen.add(e)
         self.n = n
         self.edges = tuple(sorted(seen))
-        self._adj = None
         self._edge_set = seen
+        self._degs = None
         self._bits = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def adj(self) -> dict:
-        """Vertex -> frozenset of neighbors, only for vertices with degree > 0."""
-        if self._adj is None:
-            nbrs = {}
-            for u, v in self.edges:
-                nbrs.setdefault(u, set()).add(v)
-                nbrs.setdefault(v, set()).add(u)
-            self._adj = {v: frozenset(s) for v, s in nbrs.items()}
-        return self._adj
 
     def _bit_view(self) -> _BitView:
         """The cached bit view of the support, for the copy kernel."""
@@ -237,36 +226,17 @@ class SimpleGraph:
             self._bits = _BitView(self.n, self.edges)
         return self._bits
 
-    def neighbors(self, v) -> frozenset:
-        return self.adj.get(v, frozenset())
-
     def degree(self, v) -> int:
-        return len(self.adj.get(v, ()))
+        if self._degs is None:
+            degs = [0] * self.n
+            for u, w in self.edges:
+                degs[u] += 1
+                degs[w] += 1
+            self._degs = degs
+        return self._degs[v]
 
     def has_edge(self, u, v) -> bool:
         return ((u, v) if u < v else (v, u)) in self._edge_set
-
-    def support(self) -> tuple:
-        """Vertices with degree at least 1, sorted."""
-        return tuple(sorted(self.adj))
-
-    def is_connected(self) -> bool:
-        """Connectivity over all n declared vertices (n <= 1 is connected)."""
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
-    def with_edges(self, edges) -> "SimpleGraph":
-        """New graph on the same vertex set with the given edge set."""
-        return SimpleGraph(self.n, edges)
 
     def __eq__(self, other):
         return (
@@ -288,10 +258,6 @@ def compact_graph(edges):
     order of labels, so sorted pairs stay sorted."""
     pos = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
     return SimpleGraph(len(pos), [(pos[u], pos[v]) for u, v in edges]), pos
-
-
-def empty_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, ())
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -347,10 +313,17 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         raise DomainError(
             f"pattern size {g.n} exceeds the cap of {MAX_PATTERN_VERTICES}"
         )
-    degs = [g.degree(v) for v in range(g.n)]
+    # at most MAX_PATTERN_VERTICES <= LABEL_FRAME_MAX labels: one label frame
+    nbr = g._bit_view().frames[0].nbr
+    degs = [mask.bit_count() for mask in nbr]
     if min(degs) != max(degs):
         raise NotRegularError(f"degrees range over [{min(degs)}, {max(degs)}]")
-    if not g.is_connected():
+    seen, stack = 1, [0]
+    while stack:
+        new = nbr[stack.pop()] & ~seen
+        seen |= new
+        stack.extend(b for b in range(g.n) if new >> b & 1)
+    if seen != (1 << g.n) - 1:
         raise NotConnectedError("pattern graph is not connected")
     return Pattern(
         graph=g,
@@ -358,7 +331,7 @@ def make_pattern(g: SimpleGraph) -> Pattern:
         delta=degs[0],
         edge_count=g.m,
         aut_count=_plan(g, g.edges, ())[6],
-        edge_triangles=min(len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges),
+        edge_triangles=min((nbr[u] & nbr[v]).bit_count() for u, v in g.edges),
     )
 
 
@@ -472,21 +445,6 @@ def sample_gnp(model: GnpModel) -> SimpleGraph:
     """Sample G(n, p); identical models (including seed) yield identical graphs."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(model.seed)))
     return sample_gnp_with(model.n, model.p, rng)
-
-
-def thin_edges(g: SimpleGraph, keep: float, rng: np.random.Generator) -> SimpleGraph:
-    """Retain each edge of g independently with probability keep.
-
-    Decisions are drawn in sorted edge order. The vertex set is unchanged, so
-    sampling G(n, p1) and thinning with p2 is distributed as G(n, p1*p2).
-    """
-    if not 0.0 <= keep <= 1.0:
-        raise DomainError(f"keep probability must lie in [0, 1], got {keep}")
-    if g.m == 0:
-        return SimpleGraph(g.n, ())
-    mask = rng.random(g.m) < keep
-    edges = [e for e, kept in zip(g.edges, mask.tolist()) if kept]
-    return SimpleGraph(g.n, edges)
 
 
 def read_edge_list(text: str) -> SimpleGraph:

@@ -19,7 +19,6 @@ from .counting import iter_copies
 from .errors import (
     BudgetExceededError,
     DomainError,
-    NotEnoughCopiesError,
     NotSpannedError,
     PoolTooSmallError,
 )
@@ -55,9 +54,8 @@ class SpannedDecomposition:
 
 def _overlap_components(copies):
     """Components of the copy-overlap graph, whose copies are adjacent when
-    they share a vertex, in order of their smallest index. Each lists its
-    copies breadth-first from the smallest index, taking neighbours in
-    ascending index order, so every prefix has a connected union."""
+    they share a vertex, each as its sorted copy indices, in order of their
+    smallest index."""
     vsets = [{v for e in c for v in e} for c in copies]
     by_vertex: dict = {}
     for i, vs in enumerate(vsets):
@@ -69,10 +67,10 @@ def _overlap_components(copies):
             seen.add(start)
             order = [start]
             for i in order:  # the list is the queue: the loop reaches what it appends
-                new = sorted({j for v in vsets[i] for j in by_vertex[v]} - seen)
+                new = {j for v in vsets[i] for j in by_vertex[v]} - seen
                 seen.update(new)
                 order += new
-            components.append(order)
+            components.append(sorted(order))
     return components
 
 
@@ -86,7 +84,7 @@ def spanned_decompose(P: Pattern, g: SimpleGraph) -> SpannedDecomposition:
     dropped = tuple(e for e in g.edges if e not in covered)
 
     components = []
-    for group in map(sorted, _overlap_components(copies)):
+    for group in _overlap_components(copies):
         graph, pos = compact_graph(set().union(*(copies[i] for i in group)))
         new_copies = tuple(frozenset((pos[u], pos[v]) for u, v in copies[i]) for i in group)
         components.append(
@@ -176,7 +174,7 @@ def spanning_excess_report(P: Pattern, S: SimpleGraph) -> SpanningExcessReport:
     single copy. Vertices are counted over the support of S.
     """
     l_star = minimal_spanning_count(P, S)
-    v = len(S.support())
+    v = len({x for e in S.edges for x in e})
     f = 2.0 * S.m / P.delta - v
     lower = (l_star - 1) / P.delta
     return SpanningExcessReport(f=f, l_star=l_star, lower=lower)
@@ -208,36 +206,6 @@ def dyadic_profile(l_list) -> DyadicProfile:
         c[i] = c.get(i, 0) + 1
     t = max(c) if c else 0
     return DyadicProfile(c=c, t=t)
-
-
-def truncate_spanned(P: Pattern, S: SimpleGraph, target: int) -> SimpleGraph:
-    """Connected subgraph of S spanned by exactly `target` of its copies.
-
-    Copies are taken breadth-first over the copy-overlap graph so that every
-    prefix union is connected; the union of the first `target` copies is
-    returned as a compact graph. S must be spanned, whatever the target.
-    """
-    if target < 1:
-        raise DomainError(f"target must be positive, got {target}")
-    copies = iter_copies(P, S)
-    if not copies:
-        raise NotSpannedError("graph holds no copy of the pattern")
-    covered = set()
-    for c in copies:
-        covered |= c
-    if covered != set(S.edges):
-        raise NotSpannedError("graph has edges outside every copy")
-    if len(copies) < target:
-        raise NotEnoughCopiesError(
-            f"only {len(copies)} copies available, need {target}"
-        )
-    first, *rest = _overlap_components(copies)
-    if rest:
-        raise NotSpannedError("copy-overlap graph is disconnected")
-    union = set()
-    for i in first[:target]:
-        union |= copies[i]
-    return compact_graph(union)[0]
 
 
 def glue_random_spanned(

@@ -11,7 +11,6 @@ from regtail.bounds import (
     exact_binomial_tail,
     finner_hom_bound,
     kl_bernoulli,
-    leading_order_tail,
     min_edges_for_copies,
     outside_edge_bounds,
     power_sum_gap,
@@ -156,7 +155,6 @@ def test_kl_and_tails():
     assert chernoff_tail(10, 10, 0.5) == pytest.approx(2**-10)
     assert exact_binomial_tail(30, 0, 0.2) == 1.0
     assert chernoff_tail(30, 0, 0.2) == 1.0
-    assert leading_order_tail(40, 0, 0.2) == 1.0
     for n in (5, 20, 80):
         for p in (0.05, 0.3):
             for m in range(math.ceil(n * p), n + 1):
@@ -167,9 +165,3 @@ def test_kl_and_tails():
         chernoff_tail(5, 2, 1.0)
     with pytest.raises(DomainError):
         kl_bernoulli(1.2, 0.5)
-
-
-def test_leading_order_is_informational():
-    # close to the exact tail in the sparse regime but not a bound
-    val = leading_order_tail(100, 20, 0.01)
-    assert 0 < val < 1

@@ -312,6 +312,21 @@ def test_runtime_error_json_on_stderr(capsys):
     assert "error" in payload and "message" in payload
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--pattern", "k3", "--graph", "@{f}"],
+    ["count", "--pattern", "@{f}", "--graph", "@{f}"],
+    ["core", "--pattern", "k3", "--graph", "@{f}", "--n", "50", "--k", "4"],
+])
+def test_non_utf8_file_is_parse_error(argv, tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"\xff\xfe3 0\n")
+    assert main([a.format(f=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "ParseError"
+
+
 def test_decompose_set_cover_budget(tmp_path, capsys):
     """C4 on this G(60, 0.15) draw has one spanned component with 756
     copies whose exact minimum cover the branch and bound cannot finish;

@@ -1,7 +1,5 @@
 import math
-from itertools import combinations
 
-import numpy as np
 import pytest
 
 from regtail import cores
@@ -9,8 +7,6 @@ from regtail.cores import (
     CoreReport,
     SeedParams,
     clique_seed_size,
-    default_degree_threshold,
-    degree_partition,
     degree_product_report,
     is_core,
     is_seed,
@@ -183,48 +179,6 @@ def test_degree_product_report(k3):
     assert rows[0][2] < big_t.t  # consistent with it not being a core
     with pytest.raises(DomainError):
         degree_product_report(SimpleGraph(0, ()), params, k3)
-
-
-def test_degree_partition_star():
-    star = SimpleGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
-    prof = degree_partition(star, 2.0)
-    assert prof.left == (0,)
-    assert prof.m == 2
-    assert prof.left_classes[2] == (0,)  # 4 <= degree 5 < 8
-    assert set(prof.right) == {1, 2, 3, 4, 5}
-    assert sum(prof.e_ij.values()) == 5
-
-
-def test_degree_partition_degenerate():
-    ring = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    prof = degree_partition(ring, 10.0)
-    assert prof.left == ()
-    assert prof.m == 0
-    assert prof.e_ij == {}
-
-
-def test_degree_partition_conservation():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        n = int(rng.integers(5, 15))
-        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
-        if not edges:
-            continue
-        g = SimpleGraph(n, edges)
-        threshold = float(rng.uniform(1.0, 5.0))
-        prof = degree_partition(g, threshold)
-        lset, rset = set(prof.left), set(prof.right)
-        lr_edges = sum(
-            1 for u, v in g.edges if (u in lset) != (v in lset) and (u in rset or v in rset)
-        )
-        assert sum(prof.e_ij.values()) == lr_edges
-        # nested right classes
-        for j in range(2, prof.j_max + 1):
-            assert set(prof.right_classes[j - 1]) <= set(prof.right_classes[j])
-
-
-def test_default_degree_threshold(k3):
-    assert default_degree_threshold(k3, 8) == pytest.approx(2.0)
 
 
 def test_expectation_floor_identity(k3):

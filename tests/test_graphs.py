@@ -19,7 +19,6 @@ from regtail.graphs import (
     _slot_pairs,
     complete_graph,
     cycle_graph,
-    empty_graph,
     make_pattern,
     named_pattern,
     read_edge_list,
@@ -27,7 +26,6 @@ from regtail.graphs import (
     sample_gnp_batch,
     sample_gnp_slots,
     sample_gnp_with,
-    thin_edges,
     threshold_probability,
     worker_rng,
     write_edge_list,
@@ -67,8 +65,12 @@ def test_make_pattern_rejects_small_and_disconnected():
     with pytest.raises(TooSmallError):
         make_pattern(SimpleGraph(2, [(0, 1)]))
     two_triangles = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    with pytest.raises(NotConnectedError):
-        make_pattern(two_triangles)
+    interleaved = SimpleGraph(6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)])
+    two_c5 = SimpleGraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    for g in (two_triangles, interleaved, two_c5):
+        with pytest.raises(NotConnectedError):
+            make_pattern(g)
 
 
 def test_complete_graph_automorphisms():
@@ -83,6 +85,10 @@ PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
 K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 OCTAHEDRON = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 3]
 CUBE = [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]
+# two K4s less an edge, each with a fifth vertex on the missing edge's ends;
+# the bridge (4, 9) joins the fifth vertices
+BRIDGED = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4), (4, 9),
+           (5, 7), (5, 8), (6, 7), (6, 8), (7, 8), (5, 9), (6, 9)]
 
 
 def test_petersen_automorphisms():
@@ -216,6 +222,9 @@ def test_k10_lists_no_automorphism(monkeypatch):
     ("k33", SimpleGraph(6, K33), 0),
     ("petersen", SimpleGraph(10, PETERSEN), 0),
     ("octahedron", SimpleGraph(6, OCTAHEDRON), 2),
+    ("cube", SimpleGraph(8, CUBE), 0),
+    ("c8", cycle_graph(8), 0),
+    ("bridged", SimpleGraph(10, BRIDGED), 0),
 ])
 def test_pattern_edge_triangles(name, g, t):
     # t(H): the fewest triangles through one edge of the pattern
@@ -251,7 +260,7 @@ def test_threshold_probability():
 
 
 def test_sample_gnp_endpoints():
-    assert sample_gnp(GnpModel(8, 0.0, seed=1)) == empty_graph(8)
+    assert sample_gnp(GnpModel(8, 0.0, seed=1)) == SimpleGraph(8)
     assert sample_gnp(GnpModel(6, 1.0, seed=1)) == complete_graph(6)
 
 
@@ -370,31 +379,6 @@ def test_slot_pairs_match_integer_oracle(n):
     slots = np.concatenate([rng.integers(0, m, 10**5), first, first + n - 2 - rows])
     u, v = _slot_pairs(n, slots)
     assert list(zip(u.tolist(), v.tolist())) == [slot_pair_oracle(n, s) for s in slots.tolist()]
-
-
-def test_thin_edges_endpoints():
-    g = complete_graph(5)
-    rng = np.random.default_rng(0)
-    assert thin_edges(g, 1.0, rng) == g
-    thinned = thin_edges(g, 0.0, rng)
-    assert thinned.m == 0 and thinned.n == 5
-    with pytest.raises(DomainError):
-        thin_edges(g, 1.5, rng)
-
-
-def test_thinning_composition():
-    # inclusion of a fixed edge after sample(p1) + thin(p2) is Bernoulli(p1*p2)
-    p1, p2 = 0.6, 0.5
-    trials = 100_000
-    rng = worker_rng(7, 0)
-    hits = 0
-    for _ in range(trials):
-        g = sample_gnp_with(5, p1, rng)
-        t = thin_edges(g, p2, rng)
-        hits += t.has_edge(0, 1)
-    target = p1 * p2
-    sigma = math.sqrt(target * (1 - target) / trials)
-    assert abs(hits / trials - target) <= 3 * sigma
 
 
 def test_edge_list_roundtrip():

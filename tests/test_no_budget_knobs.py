@@ -26,7 +26,7 @@ def _public_callables():
 def test_no_public_callable_takes_a_budget():
     callables = dict(_public_callables())
     assert "regtail.counting.planted_expectation" in callables
-    assert "regtail.spanned.truncate_spanned" in callables
+    assert "regtail.spanned.minimal_spanning_count" in callables
     assert "regtail.cores.SeedParams.__init__" in callables
     found = [name for name, f in callables.items()
              if "budget" in inspect.signature(f).parameters]
