@@ -46,7 +46,8 @@ def finner_hom_bound(pattern_or_graph, n: int, m: int) -> float:
 
 
 def min_edges_for_copies(P: Pattern, copies: int) -> int:
-    """Minimum edge count of any graph holding at least `copies` copies.
+    """Lower bound on the edge count of any graph holding at least `copies`
+    copies; not always attained (K3 with one copy gives 2, a triangle has 3).
 
     Inverts copies <= (2m)**(q/2) / aut exactly: the smallest integer m with
     (2m)**q >= (aut * copies)**2, which equals ceil((aut*copies)**(2/q) / 2).

@@ -1,9 +1,12 @@
 """Graph and pattern data types, threshold sampling, and edge-list codecs.
 
 Vertices are dense integer labels 0..n-1. Graphs are immutable after
-construction and safe to share across threads; all randomness flows through
-numpy Generators so that identical seeds reproduce identical graphs on any
-platform.
+construction and safe to share across threads. The G(n, p) sampler draws
+from numpy Generators, whose draws it vectorizes; the verify sweeps draw
+their small instances one at a time from `random.Random(seed)`. Both
+reproduce the same graphs from the same seed on any platform, the latter
+for a given Python version (the stdlib fixes only `random()`'s stream
+across versions).
 
 G(n, p) is sampled in batches: the edge slots of `count` graphs, in
 row-major order graph after graph, form one Bernoulli(p) process whose

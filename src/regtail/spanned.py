@@ -11,9 +11,8 @@ used to classify components by how many copies they carry.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .counting import iter_copies
 from .errors import (
@@ -209,42 +208,32 @@ def dyadic_profile(l_list) -> DyadicProfile:
 
 
 def glue_random_spanned(
-    P: Pattern, copies: int, rng: np.random.Generator, vertex_pool: int
+    P: Pattern, copies: int, rng: random.Random, vertex_pool: int
 ) -> SimpleGraph:
     """Random connected graph built by placing `copies` images of the
     pattern, each sharing at least one vertex with the union so far.
 
-    The output is spanned by construction. Raises PoolTooSmallError when the
-    pool cannot host even one copy.
+    Every draw comes from `rng`, so a seeded `random.Random` reproduces the
+    graph. The output is spanned by construction. Raises PoolTooSmallError
+    when the pool cannot host even one copy.
     """
     if copies < 1:
         raise DomainError(f"copy count must be positive, got {copies}")
     q = P.q
     if vertex_pool < q:
         raise PoolTooSmallError(f"pool of {vertex_pool} cannot host a {q}-vertex copy")
-    pool = list(range(vertex_pool))
     used: list = []
     used_set: set = set()
     edges: set = set()
     for i in range(copies):
         if i == 0:
-            image = [int(v) for v in rng.choice(pool, size=q, replace=False)]
+            image = rng.sample(range(vertex_pool), q)
         else:
-            free = [v for v in pool if v not in used_set]
-            max_fresh = min(q - 1, len(free))
-            n_fresh = int(rng.integers(0, max_fresh + 1))
-            n_shared = q - n_fresh
-            if n_shared > len(used):
-                n_shared = len(used)
-                n_fresh = q - n_shared
-            shared = [int(v) for v in rng.choice(used, size=n_shared, replace=False)]
-            fresh = (
-                [int(v) for v in rng.choice(free, size=n_fresh, replace=False)]
-                if n_fresh
-                else []
-            )
-            image = shared + fresh
-            image = [image[j] for j in rng.permutation(q)]
+            # the first image put q vertices in use, so q - n_fresh of them can be shared
+            free = [v for v in range(vertex_pool) if v not in used_set]
+            n_fresh = rng.randrange(min(q - 1, len(free)) + 1)
+            image = rng.sample(used, q - n_fresh) + rng.sample(free, n_fresh)
+            rng.shuffle(image)
         for v in image:
             if v not in used_set:
                 used_set.add(v)

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import bounds, counting, cores, spanned, tails
 from .errors import DomainError
@@ -65,9 +64,8 @@ def _violations(sweep):
 
 
 def _random_graph(rng, n):
-    p = float(rng.uniform(0.1, 0.9))
-    mask = rng.random(n * (n - 1) // 2) < p
-    return SimpleGraph(n, itertools.compress(itertools.combinations(range(n), 2), mask))
+    p = rng.uniform(0.1, 0.9)
+    return SimpleGraph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 
 
 def check_finner(P: Pattern, g: SimpleGraph, name=None):
@@ -89,11 +87,11 @@ def check_finner(P: Pattern, g: SimpleGraph, name=None):
 def sweep_finner(pattern_names, instances, seed, n_max=12):
     """Injective homomorphism count vs the product-measure bound, on random
     graphs up to n_max vertices per pattern."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
-            n = int(rng.integers(P.q, n_max + 1))
+            n = rng.randrange(P.q, n_max + 1)
             g = _random_graph(rng, n)
             yield check_finner(P, g, name)
 
@@ -141,14 +139,14 @@ def _random_planted(rng, n):
 @_violations
 def sweep_edge_rooted(pattern_names, instances, seed, n_max=10):
     """Exact edge-rooted planted expectation vs its closed-form bound."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
-            n = int(rng.integers(max(P.q, 4), n_max + 1))
+            n = rng.randrange(max(P.q, 4), n_max + 1)
             planted = _random_planted(rng, n)
-            f = planted.edges[int(rng.integers(0, planted.m))]
-            p = float(rng.uniform(0.02, 0.9))
+            f = rng.choice(planted.edges)
+            p = rng.uniform(0.02, 0.9)
             yield check_edge_rooted(P, planted, n, p, f, name)
 
 
@@ -156,18 +154,18 @@ def sweep_edge_rooted(pattern_names, instances, seed, n_max=10):
 def sweep_outside_edge(pattern_names, instances, seed, n_max=9):
     """Exact outside-edge expectation vs max(B1, B2, B3), on planted graphs
     where the distinguished edge has an endpoint of degree below delta."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
-            n = int(rng.integers(max(P.q, 4), n_max + 1))
+            n = rng.randrange(max(P.q, 4), n_max + 1)
             base = _random_planted(rng, n - 1)
             # attach a fresh pendant vertex: its degree 1 < delta
-            b = int(rng.integers(0, n - 1))
-            b = base.edges[int(rng.integers(0, base.m))][0] if base.degree(b) == 0 else b
+            b = rng.randrange(n - 1)
+            b = rng.choice(base.edges)[0] if base.degree(b) == 0 else b
             planted = SimpleGraph(n, list(base.edges) + [(b, n - 1)])
             f = (b, n - 1) if b < n - 1 else (n - 1, b)
-            p = float(rng.uniform(0.02, 0.9))
+            p = rng.uniform(0.02, 0.9)
             yield check_outside_edge(P, planted, n, p, f, name)
 
 
@@ -190,11 +188,11 @@ def check_spanning_excess(P: Pattern, g: SimpleGraph, name=None):
 @_violations
 def sweep_spanning_excess(pattern_names, instances, seed, l_max=6):
     """Spanning-excess inequality on randomly glued spanned graphs."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for name in pattern_names:
         P = named_pattern(name)
         for _ in range(instances):
-            l = int(rng.integers(1, l_max + 1))
+            l = rng.randrange(1, l_max + 1)
             pool = P.q * l + P.q
             g = spanned.glue_random_spanned(P, l, rng, pool)
             yield check_spanning_excess(P, g, name)
@@ -210,11 +208,11 @@ def check_power_sum(xs, p):
 @_violations
 def sweep_power_sum(trials, seed):
     """Termwise p-th roots dominate the root of the sum; gap >= -1e-12."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(trials):
-        size = int(rng.integers(1, 12))
-        xs = [float(x) for x in rng.uniform(0.0, 10.0, size=size)]
-        p = float(rng.uniform(1.0 + 1e-6, 8.0))
+        size = rng.randrange(1, 12)
+        xs = [rng.uniform(0.0, 10.0) for _ in range(size)]
+        p = rng.uniform(1.0 + 1e-6, 8.0)
         yield check_power_sum(xs, p)
 
 
@@ -264,10 +262,10 @@ def check_dyadic(ls):
 @_violations
 def sweep_dyadic(trials, seed):
     """Dyadic class floors sandwich the exact total within a factor 2."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(trials):
-        size = int(rng.integers(1, 20))
-        ls = [int(x) for x in rng.integers(2, 500, size=size)]
+        size = rng.randrange(1, 20)
+        ls = [rng.randrange(2, 500) for _ in range(size)]
         yield check_dyadic(ls)
 
 

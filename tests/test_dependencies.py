@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: importing every regtail module and
 running a small large-n scan loads no third-party module that importing
-numpy alone does not load.
+numpy alone does not load. The seeded verify sweeps draw from
+random.Random, so running them does not load numpy.random.
 
 A third-party module here is a top-level module loaded from a file outside
 the standard library. The Cython runtime modules that numpy's compiled
@@ -42,6 +43,16 @@ assert rc == 0 and out.getvalue().startswith("k,n,p,")
 print(json.dumps(third_party()))
 """
 
+VERIFY_RUN = """
+import contextlib, io, json, sys
+from regtail.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    for target in ("lemma6", "lemma7", "lemma9"):
+        assert main(["verify", target, "--instances", "2"]) == 0
+assert out.getvalue().count(": PASS") == 3
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("numpy.random"))))
+"""
+
 
 def _loaded(code):
     env = dict(os.environ)
@@ -55,3 +66,8 @@ def test_numpy_is_the_only_runtime_dependency():
     numpy_only = _loaded(NUMPY_ONLY)
     assert "numpy" in numpy_only
     assert _loaded(REGTAIL_RUN) - numpy_only == {"regtail"}
+
+
+def test_verify_sweeps_do_not_load_numpy_random():
+    # importing numpy.random costs a verify run tens of ms and a few MiB
+    assert _loaded(VERIFY_RUN) == set()

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -95,10 +96,10 @@ def test_minimal_spanning_count(k3):
 
 
 def test_minimal_count_one_iff_single_copy(k3, c4):
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for pat in (k3, c4):
         for _ in range(40):
-            g = glue_random_spanned(pat, int(rng.integers(1, 4)), rng, 20)
+            g = glue_random_spanned(pat, rng.randrange(1, 4), rng, 20)
             l_star = minimal_spanning_count(pat, g)
             is_copy = g.m == pat.edge_count and subset_copy_count(
                 pat.graph.edges, g.edges
@@ -141,7 +142,7 @@ def test_dyadic_sandwich_random():
 
 
 def test_glue_random_spanned(k3, c4):
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     g1 = glue_random_spanned(k3, 1, rng, 10)
     assert g1.m == 3 and subset_copy_count(k3.graph.edges, g1.edges) == 1
     for pat in (k3, c4):

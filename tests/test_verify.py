@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -110,12 +112,41 @@ def test_sweep_outputs_are_replayable_shape():
 
 
 def test_random_graph_generator_is_seeded():
-    a = verify._random_graph(np.random.default_rng(9), 8)
-    b = verify._random_graph(np.random.default_rng(9), 8)
+    a = verify._random_graph(random.Random(9), 8)
+    b = verify._random_graph(random.Random(9), 8)
     assert a == b
     assert a.n == 8 and a.edges == (
-        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
-        (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (5, 6), (5, 7))
+        (0, 1), (0, 2), (0, 4), (0, 7), (1, 4), (1, 5), (1, 7), (2, 4), (2, 5),
+        (2, 6), (3, 7), (4, 6), (4, 7), (6, 7))
+
+
+SEEDED_SWEEPS = {
+    "check_finner": lambda seed: verify.sweep_finner(("k3", "c4"), 20, seed),
+    "check_edge_rooted": lambda seed: verify.sweep_edge_rooted(("k3", "c4"), 20, seed),
+    "check_outside_edge": lambda seed: verify.sweep_outside_edge(("k3", "c4"), 20, seed),
+    "check_spanning_excess": lambda seed: verify.sweep_spanning_excess(("k3", "c4"), 20, seed),
+    "check_power_sum": lambda seed: verify.sweep_power_sum(40, seed),
+    "check_dyadic": lambda seed: verify.sweep_dyadic(40, seed),
+}
+
+
+@pytest.mark.parametrize("check", SEEDED_SWEEPS)
+def test_seeded_sweeps_draw_their_instances_from_the_seed(monkeypatch, check):
+    def no_numpy_generator(*args):
+        raise AssertionError("seeded sweeps draw from random.Random, not numpy")
+
+    monkeypatch.setattr(np.random, "default_rng", no_numpy_generator)
+
+    def instances(seed):
+        seen = []
+        monkeypatch.setattr(verify, check, lambda *args: seen.append(args))
+        assert SEEDED_SWEEPS[check](seed) == []
+        return seen
+
+    first = instances(7)
+    assert len(first) >= 20
+    assert instances(7) == first
+    assert instances(8) != first
 
 
 def test_replay_leaves_errors_inside_the_check_alone(monkeypatch):
