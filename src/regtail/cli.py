@@ -90,7 +90,10 @@ def _add_common(p, *names, formats=("table", "csv", "json")):
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0)
     if "workers" in names:
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="logical sample streams, keyed by (seed, worker) and run one "
+                            "after another in this process; results depend only on "
+                            "(seed, workers)")
     if "format" in names:
         p.add_argument("--format", choices=formats, default="table")
     if "out" in names:

@@ -2,11 +2,16 @@
 
 Vertices are dense integer labels 0..n-1. Graphs are immutable after
 construction and safe to share across threads. The G(n, p) sampler draws
-from numpy Generators, whose draws it vectorizes; the verify sweeps draw
-their small instances one at a time from `random.Random(seed)`. Both
-reproduce the same graphs from the same seed on any platform, the latter
-for a given Python version (the stdlib fixes only `random()`'s stream
-across versions).
+from counter-based SplitMix64 streams computed in numpy's uint64
+arithmetic (`worker_rng`), so no command needs numpy's random module; the
+verify sweeps draw their small instances one at a time from
+`random.Random(seed)`. A seed gives the same uniforms on every platform.
+The sampled graphs are the same too, except that the vectorized `np.log`
+may differ in the last ulp between numpy builds, which moves a geometric
+gap only when its quotient lies that close to an integer (numpy's own
+`geometric` had the same libm caveat). The verify sweeps repeat for a
+given Python version (the stdlib fixes only `random()`'s stream across
+versions).
 
 G(n, p) is sampled in batches: the edge slots of `count` graphs, in
 row-major order graph after graph, form one Bernoulli(p) process whose
@@ -366,19 +371,97 @@ def threshold_probability(n: int, delta: int) -> float:
     return float(n) ** (-2.0 / delta)
 
 
-def _bernoulli_hits(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+# SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): the odd increment gamma, the finalizer's two
+# multipliers and its shifts. Every constant is an np.uint64 scalar, so the
+# arithmetic stays uint64 under numpy's legacy and NEP 50 promotion rules.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
+_LIMB = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection of uint64, applied in place."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+class SplitMixStream:
+    """A counter-based uniform stream (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011): value i, counting from 1, is
+    the SplitMix64 finalizer of key + i * gamma, which is SplitMix64's own
+    sequence from state key. A draw is a few vectorized uint64 operations,
+    and the counter advances by exactly the number of values drawn."""
+
+    __slots__ = ("key", "drawn")
+
+    def __init__(self, key: np.uint64):
+        self.key, self.drawn = key, 0
+
+    def random(self, size: int) -> np.ndarray:
+        """The next `size` values as floats in (0, 1]: the top 53 bits of
+        each word, plus one, times 2**-53."""
+        z = np.arange(self.drawn + 1, self.drawn + 1 + size, dtype=np.uint64)
+        self.drawn += size
+        z *= _GAMMA
+        z += self.key
+        _mix(z)
+        z >>= _S11
+        u = z.astype(np.float64)
+        u += 1.0
+        u *= 2.0**-53
+        return u
+
+
+def worker_rng(seed: int, worker: int) -> SplitMixStream:
+    """Independent stream for one worker, keyed by (seed, worker index).
+
+    The key mixes the worker index, then each 64-bit limb of the seed in
+    turn, lowest first, so every bit of a seed enters it and seeds equal
+    mod 2**64 get different keys. Two streams share a word only if their
+    keys differ by gamma times a number below the count of draws, which
+    mixed keys make as unlikely as a 64-bit collision.
+    """
+    if seed < 0:  # its limbs would never run out
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    key = _mix(np.array([worker], dtype=np.uint64) + _GAMMA)
+    while True:
+        key ^= np.uint64(seed & _LIMB)
+        _mix(key)
+        seed >>= 64
+        if not seed:
+            return SplitMixStream(key[0])
+
+
+def _bernoulli_hits(total: int, p: float, rng: SplitMixStream) -> np.ndarray:
     """Sorted positions of the successes among `total` Bernoulli(p) trials,
     0 < p <= 1, as cumulative sums of geometric gaps.
 
-    Each draw covers the expected remaining hits plus four standard
-    deviations, so one draw almost always reaches past the end.
+    A gap is floor(log U / log(1 - p)) + 1 for U uniform on (0, 1], so
+    P(gap > k) = P(U <= (1 - p)**k) = (1 - p)**k. Each draw covers the
+    expected remaining hits plus four standard deviations, so one draw
+    almost always reaches past the end.
     """
+    if p == 1.0:  # log(1 - p) is -inf
+        return np.arange(total, dtype=np.int64)
+    scale = math.log1p(-p)
     parts = []
     last = -1
     while last < total - 1:
         mean = (total - 1 - last) * p
-        gaps = rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
-        np.minimum(gaps, total + 1, out=gaps)  # any longer gap also ends past the end
+        logu = np.log(rng.random(int(mean + 4.0 * math.sqrt(mean)) + 16))
+        # any gap above total + 1 also ends past the end; clamping before the
+        # division keeps the quotient finite when p is tiny
+        np.maximum(logu, (total + 1) * scale, out=logu)
+        logu /= scale
+        gaps = logu.astype(np.int64)  # the floor, as the quotient is >= 0
+        gaps += 1
         np.cumsum(gaps, out=gaps)
         gaps += last
         parts.append(gaps)
@@ -406,7 +489,7 @@ def _slot_pairs(n: int, slots: np.ndarray):
     return n - 2 - k, n - 1 - (t - tri)
 
 
-def sample_gnp_slots(n: int, p: float, count: int, rng: np.random.Generator):
+def sample_gnp_slots(n: int, p: float, count: int, rng: SplitMixStream):
     """Edges of `count` independent G(n, p) samples as arrays (graph, slot).
 
     Edge i sits in graph graph[i], 0 <= graph[i] < count, at row-major slot
@@ -424,7 +507,7 @@ def sample_gnp_slots(n: int, p: float, count: int, rng: np.random.Generator):
     return np.divmod(_bernoulli_hits(m * count, p, rng), m)
 
 
-def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
+def sample_gnp_batch(n: int, p: float, count: int, rng: SplitMixStream):
     """Edges of `count` independent G(n, p) samples as arrays (graph, u, v):
     `sample_gnp_slots` with each slot decoded by `_slot_pairs`, from the
     same draws.
@@ -437,17 +520,17 @@ def sample_gnp_batch(n: int, p: float, count: int, rng: np.random.Generator):
     return graph, u, v
 
 
-def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
-    """Draw one G(n, p) sample from an existing generator: the batch
+def sample_gnp_with(n: int, p: float, rng: SplitMixStream) -> SimpleGraph:
+    """Draw one G(n, p) sample from an existing stream: the batch
     sampler with count = 1."""
     _, u, v = sample_gnp_batch(n, p, 1, rng)
     return SimpleGraph(n, zip(u.tolist(), v.tolist()))
 
 
 def sample_gnp(model: GnpModel) -> SimpleGraph:
-    """Sample G(n, p); identical models (including seed) yield identical graphs."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(model.seed)))
-    return sample_gnp_with(model.n, model.p, rng)
+    """Sample G(n, p) from the stream of worker 0 of the model's seed;
+    identical models (including seed) yield identical graphs."""
+    return sample_gnp_with(model.n, model.p, worker_rng(model.seed, 0))
 
 
 def read_edge_list(text: str) -> SimpleGraph:
@@ -500,12 +583,6 @@ def write_edge_list(g: SimpleGraph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(out) + "\n"
-
-
-def worker_rng(seed: int, worker: int) -> np.random.Generator:
-    """Independent stream for one worker, derived from (seed, worker index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(worker,))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 # Named patterns used throughout the CLI and tests.

@@ -2,9 +2,10 @@
 analytic lower-bound constructions, and the phase-transition scan.
 
 Sampling work is split over a fixed number of logical workers, each with an
-independent stream derived from (seed, worker index); aggregation is
-order-independent, so identical (seed, workers) always reproduces identical
-numbers regardless of how the workers are executed.
+independent counter-based SplitMix64 stream keyed by (seed, worker index)
+(`graphs.worker_rng`). The workers run one after another in one process,
+and aggregation is order-independent, so identical (seed, workers) always
+reproduces identical numbers.
 
 Monte Carlo copy counts come from one batched engine. A worker's share is
 sampled in chunks of graphs as edge arrays. For n <= MAX_EXACT_N a graph's

@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: importing every regtail module and
 running a small large-n scan loads no third-party module that importing
-numpy alone does not load. The seeded verify sweeps draw from
-random.Random, so running them does not load numpy.random.
+numpy alone does not load. No command loads numpy.random: the seeded
+verify sweeps draw from random.Random, and the G(n, p) sampler from a
+SplitMix64 stream evaluated in numpy's uint64 arithmetic.
 
 A third-party module here is a top-level module loaded from a file outside
 the standard library. The Cython runtime modules that numpy's compiled
@@ -43,15 +44,27 @@ assert rc == 0 and out.getvalue().startswith("k,n,p,")
 print(json.dumps(third_party()))
 """
 
-VERIFY_RUN = """
+NUMPY_RANDOM = """
 import contextlib, io, json, sys
 from regtail.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    for target in ("lemma6", "lemma7", "lemma9"):
-        assert main(["verify", target, "--instances", "2"]) == 0
-assert out.getvalue().count(": PASS") == 3
+    for argv in {runs!r}:
+        assert main(argv) == 0, argv
+assert out.getvalue().count(": PASS") == {passes}
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("numpy.random"))))
 """
+
+VERIFY_RUN = NUMPY_RANDOM.format(
+    runs=[["verify", target, "--instances", "2"] for target in ("lemma6", "lemma7", "lemma9")],
+    passes=3)
+
+SAMPLING_RUN = NUMPY_RANDOM.format(runs=[
+    ["scan", "--pattern", "k3", "--n", "400", "--kmax", "3", "--samples", "300"],
+    ["scan", "--pattern", "k3", "--n", "7", "--kmax", "3", "--samples", "300"],
+    ["tail", "--pattern", "k3", "--n", "40", "--k", "1", "--samples", "300"],
+    ["sample", "--n", "30", "--p", "0.1", "--seed", "3"],
+    ["verify", "poisson", "--samples", "200"],
+], passes=1)
 
 
 def _loaded(code):
@@ -71,3 +84,7 @@ def test_numpy_is_the_only_runtime_dependency():
 def test_verify_sweeps_do_not_load_numpy_random():
     # importing numpy.random costs a verify run tens of ms and a few MiB
     assert _loaded(VERIFY_RUN) == set()
+
+
+def test_sampling_commands_do_not_load_numpy_random():
+    assert _loaded(SAMPLING_RUN) == set()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from regtail.errors import (
 from regtail.graphs import (
     GnpModel,
     SimpleGraph,
+    SplitMixStream,
+    _bernoulli_hits,
     _slot_pairs,
     complete_graph,
     cycle_graph,
@@ -265,7 +268,7 @@ def test_sample_gnp_endpoints():
 
 
 def test_gnp_model_rejects_a_negative_seed():
-    # numpy's seeding would raise a bare ValueError later, mid-run
+    # refused at once, not later, mid-run, when its stream is keyed
     with pytest.raises(DomainError):
         GnpModel(8, 0.5, seed=-1)
     assert GnpModel(8, 0.5, seed=0).seed == 0
@@ -310,9 +313,14 @@ def test_batch_endpoints_and_empty_cases():
     pairs = list(itertools.combinations(range(6), 2))
     assert graph.tolist() == [i for i in range(3) for _ in pairs]
     assert list(zip(u.tolist(), v.tolist())) == pairs * 3
-    assert all(len(a) == 0 for a in sample_gnp_batch(6, 0.0, 3, rng))
-    # the first geometric gap saturates at 2**63 - 1 and must not wrap or land in range
-    assert all(len(a) == 0 for a in sample_gnp_batch(5, 1e-300, 1, rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the first gap is clamped past the end in float, with no overflow
+        for p in (0.0, 1e-300, 5e-324):
+            assert all(len(a) == 0 for a in sample_gnp_batch(6, p, 3, rng))
+        assert len(_bernoulli_hits(10**9, 5e-324, rng)) == 0
+        # log(1 - p) is -inf at p = 1: every slot, through its own branch
+        assert _bernoulli_hits(7, 1.0, rng).tolist() == list(range(7))
     for n in (0, 1, 2):
         assert all(len(a) == 0 for a in sample_gnp_batch(n, 0.5, 0, rng))
     for n in (0, 1):
@@ -421,3 +429,45 @@ def test_worker_streams_are_independent():
     a2 = worker_rng(5, 0).random(4).tolist()
     assert a == a2
     assert a != b
+    # values in (0, 1], the same for the same (seed, worker) however they
+    # are drawn, with the counter advanced by exactly the values drawn
+    draws = 10**5
+    rng = worker_rng(5, 0)
+    pieces = np.concatenate([rng.random(k) for k in (4, 0, 1, draws - 5)])
+    assert rng.drawn == draws
+    whole = worker_rng(5, 0).random(draws)
+    assert np.array_equal(pieces, whole)
+    assert whole.min() > 0.0 and whole.max() <= 1.0
+    # no stream is a shifted copy of a neighbour's: no shared value
+    for seed in (5, 2**64 + 5):
+        streams = [worker_rng(s, w).random(draws) for s, w in
+                   ((seed, 0), (seed + 1, 0), (seed, 1))]
+        assert len(np.unique(np.concatenate(streams))) == 3 * draws
+    # every bit of a seed enters the key
+    keys = {int(worker_rng(s, 0).key) for s in (5, 2**64 + 5, 2**128 + 5, 2**64 * 3 + 5)}
+    assert len(keys) == 4
+    with pytest.raises(DomainError):
+        worker_rng(-1, 0)
+
+
+def test_stream_is_splitmix64():
+    # SplitMix64's published first outputs from state 1234567; value i of
+    # a stream is word i of SplitMix64 from its key, its top 53 bits plus
+    # one over 2**53. Equal floats show the uint64 arithmetic stays exact.
+    words = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+             4593380528125082431, 16408922859458223821]
+    got = SplitMixStream(np.uint64(1234567)).random(5).tolist()
+    assert got == [((w >> 11) + 1) / 2.0**53 for w in words]
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.9])
+def test_geometric_gaps_follow_their_law(p):
+    # P(gap > k) = (1 - p)**k, each within 5 standard errors, from about
+    # 10**5 whole gaps between the hits of one fixed stream
+    hits = _bernoulli_hits(int(10**5 / p), p, worker_rng(2718, 0))
+    gaps = np.diff(hits, prepend=-1)
+    ks = sorted({1, 2, *(math.ceil(math.log(q) / math.log1p(-p)) for q in (0.5, 0.1, 0.01))})
+    for k in ks:
+        want = (1.0 - p) ** k
+        se = math.sqrt(want * (1.0 - want) / len(gaps))
+        assert abs((gaps > k).mean() - want) <= 5 * se, (k, (gaps > k).mean(), want)
