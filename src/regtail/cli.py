@@ -5,6 +5,12 @@ Human-readable tables go to stdout by default; --format json switches, and
 so does csv for tail and scan.
 Errors are emitted as a JSON record on stderr. Exit codes: 0 success,
 1 verification failure or runtime error, 2 usage error.
+
+A process builds only the parser of the command it runs (for verify, of
+the one target): building all of them took milliseconds, a sizeable share
+of a short run such as one peel. A new command goes in the one table
+COMMANDS, with its help text, the function that adds its flags, and its
+handler.
 """
 
 from __future__ import annotations
@@ -100,65 +106,18 @@ def _add_common(p, *names, formats=("table", "csv", "json")):
         p.add_argument("--out", default=None, help="write output to this file")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="regtail",
-        description="Desk-scale experiments on upper tails of regular-subgraph counts",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+def _add_parser(sub, name, **kwargs) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, **kwargs)
+    # the innermost parser a command reaches sets it last: leftover flags
+    # are reported with that parser's usage
+    parser.set_defaults(command_parser=parser)
+    return parser
 
-    p = sub.add_parser("sample", help="draw one G(n, p) sample as an edge list")
+
+def _sample_flags(p):
     _add_common(p, "n", "p", "seed", "out")
     p.add_argument("--delta", type=int, default=2,
                    help="degree used for the default threshold probability")
-
-    p = sub.add_parser("count", help="count pattern copies in a graph")
-    _add_common(p, "pattern")
-    p.add_argument("--graph", required=True, help="@edgelist-file")
-
-    p = sub.add_parser("decompose", help="spanned components of a graph")
-    _add_common(p, "pattern", "format", "out", formats=("table", "json"))
-    p.add_argument("--graph", required=True, help="@edgelist-file")
-
-    p = sub.add_parser("core", help="peel a planted graph toward a core")
-    _add_common(p, "pattern", "n", "p", "format", "out", formats=("table", "json"))
-    p.add_argument("--graph", required=True, help="@edgelist-file of the planted graph")
-    p.add_argument("--k", type=int, required=True, help="target copy count")
-    p.add_argument("--w", type=float, default=0.0, help="slack parameter (default 1/ln n)")
-    p.add_argument("--cs", type=float, default=10.0, help="seed constant")
-
-    p = sub.add_parser("bounds", help="JSON record of all closed-form bound values")
-    _add_common(p, "pattern", "n", "p", "out")
-    p.add_argument("--k", type=int, default=None, help="tail threshold")
-    p.add_argument("--m", type=int, default=None, help="host edge count for the hom bound")
-    p.add_argument("--da", type=int, default=None)
-    p.add_argument("--db", type=int, default=None)
-    p.add_argument("--e", type=int, default=None, help="planted edge count")
-
-    p = sub.add_parser("tail", help="Monte Carlo tail estimate at one threshold")
-    _add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-
-    p = sub.add_parser("scan", help="tail scan over a threshold range")
-    _add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
-    p.add_argument("--kmin", type=int, default=1)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-
-    p = sub.add_parser("verify", help="run one invariant sweep, or replay one record")
-    targets = p.add_subparsers(dest="target", required=True)
-    for target, (flags, _) in verify_mod.SWEEPS.items():
-        t = targets.add_parser(target)
-        for name, spec in flags.items():
-            t.add_argument(f"--{name}", type=spec[0], default=None, help=verify_mod.flag_help(spec))
-        _add_common(t, "out")
-        t.add_argument("--replay", default=None, help="file with one violation record to rerun")
-    for parsers in (sub, targets):  # the innermost parser a command reaches sets it last
-        for parser in parsers.choices.values():
-            parser.set_defaults(command_parser=parser)
-    return top
 
 
 def _cmd_sample(args) -> int:
@@ -168,11 +127,21 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _count_flags(p):
+    _add_common(p, "pattern")
+    p.add_argument("--graph", required=True, help="@edgelist-file")
+
+
 def _cmd_count(args) -> int:
     pattern = _load_pattern(args.pattern)
     g = _load_graph(args.graph)
     sys.stdout.write(f"{count_copies(pattern, g)}\n")
     return 0
+
+
+def _decompose_flags(p):
+    _add_common(p, "pattern", "format", "out", formats=("table", "json"))
+    p.add_argument("--graph", required=True, help="@edgelist-file")
 
 
 def _cmd_decompose(args) -> int:
@@ -212,6 +181,14 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _core_flags(p):
+    _add_common(p, "pattern", "n", "p", "format", "out", formats=("table", "json"))
+    p.add_argument("--graph", required=True, help="@edgelist-file of the planted graph")
+    p.add_argument("--k", type=int, required=True, help="target copy count")
+    p.add_argument("--w", type=float, default=0.0, help="slack parameter (default 1/ln n)")
+    p.add_argument("--cs", type=float, default=10.0, help="seed constant")
+
+
 def _cmd_core(args) -> int:
     pattern = _load_pattern(args.pattern)
     g = _load_graph(args.graph)
@@ -243,9 +220,20 @@ def _cmd_core(args) -> int:
     return 0
 
 
+def _bounds_flags(p):
+    _add_common(p, "pattern", "n", "p", "out")
+    p.add_argument("--k", type=int, default=None, help="tail threshold")
+    p.add_argument("--m", type=int, default=None, help="host edge count for the hom bound")
+    p.add_argument("--da", type=int, default=None)
+    p.add_argument("--db", type=int, default=None)
+    p.add_argument("--e", type=int, default=None, help="planted edge count")
+
+
 def _cmd_bounds(args) -> int:
     pattern = _load_pattern(args.pattern)
     p = _default_p(args, pattern)
+    if not 0.0 <= p <= 1.0:  # refuses nan too
+        raise DomainError(f"p must lie in [0, 1], got {p}")
     payload = {
         "pattern": {"q": pattern.q, "delta": pattern.delta,
                     "edges": pattern.edge_count, "aut": pattern.aut_count},
@@ -271,6 +259,12 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _tail_flags(p):
+    _add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--samples", type=int, default=100_000)
+
+
 def _cmd_tail(args) -> int:
     pattern = _load_pattern(args.pattern)
     p = _default_p(args, pattern)
@@ -288,6 +282,13 @@ def _cmd_tail(args) -> int:
             args.out,
         )
     return 0
+
+
+def _scan_flags(p):
+    _add_common(p, "pattern", "n", "p", "seed", "workers", "format", "out")
+    p.add_argument("--kmin", type=int, default=1)
+    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--samples", type=int, default=100_000)
 
 
 def _cmd_scan(args) -> int:
@@ -323,6 +324,19 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _verify_flags(p, target=None):
+    """One subparser per verify target, or only `target`'s when given."""
+    targets = p.add_subparsers(dest="target", required=True)
+    for name, (flags, _) in verify_mod.SWEEPS.items():
+        if target not in (None, name):
+            continue
+        t = _add_parser(targets, name)
+        for flag, spec in flags.items():
+            t.add_argument(f"--{flag}", type=spec[0], default=None, help=verify_mod.flag_help(spec))
+        _add_common(t, "out")
+        t.add_argument("--replay", default=None, help="file with one violation record to rerun")
+
+
 def _cmd_verify(args) -> int:
     if args.replay:
         try:
@@ -344,24 +358,58 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "count": _cmd_count,
-    "decompose": _cmd_decompose,
-    "core": _cmd_core,
-    "bounds": _cmd_bounds,
-    "tail": _cmd_tail,
-    "scan": _cmd_scan,
-    "verify": _cmd_verify,
+# name -> (help, flag adder, handler): the one place a command is added
+COMMANDS = {
+    "sample": ("draw one G(n, p) sample as an edge list", _sample_flags, _cmd_sample),
+    "count": ("count pattern copies in a graph", _count_flags, _cmd_count),
+    "decompose": ("spanned components of a graph", _decompose_flags, _cmd_decompose),
+    "core": ("peel a planted graph toward a core", _core_flags, _cmd_core),
+    "bounds": ("JSON record of all closed-form bound values", _bounds_flags, _cmd_bounds),
+    "tail": ("Monte Carlo tail estimate at one threshold", _tail_flags, _cmd_tail),
+    "scan": ("tail scan over a threshold range", _scan_flags, _cmd_scan),
+    "verify": ("run one invariant sweep, or replay one record", _verify_flags, _cmd_verify),
 }
 
 
+@functools.cache
+def _build_parser(command=None, target=None) -> argparse.ArgumentParser:
+    """The regtail parser, holding only the subcommand `command` and, for
+    verify, only the target `target` when they are given, every one when
+    they are None. A subcommand's parser is the same in each build."""
+    top = argparse.ArgumentParser(
+        prog="regtail",
+        description="Desk-scale experiments on upper tails of regular-subgraph counts",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags, _) in COMMANDS.items():
+        if command in (None, name):
+            parser = _add_parser(sub, name, help=text)
+            if target:
+                add_flags(parser, target)
+            else:
+                add_flags(parser)
+    return top
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """The parser main builds for argv: only the command argv[0] names and,
+    for verify, only the target argv[1] names. With no such name (help, no
+    command, a bad name) it keeps every choice, which its usage and errors
+    list."""
+    if not argv or argv[0] not in COMMANDS:
+        return _build_parser()
+    if argv[0] == "verify" and len(argv) > 1 and argv[1] in verify_mod.SWEEPS:
+        return _build_parser("verify", argv[1])
+    return _build_parser(argv[0])
+
+
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = _parser_for(argv).parse_known_args(argv)
     if extra:  # reported with the usage of the (sub)command that was run
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][2](args)
     except (RegtailError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")

@@ -194,31 +194,36 @@ def _break_symmetry(q, plan, npins):
     The group G is made of the automorphisms of the planned edges that fix
     every pin and map each component onto itself. Along the plan order, the
     orbit of position i under the pointwise stabilizer of the positions
-    before it is found with pinned kernel runs of i's component into
-    itself, one for each later position j of equal degree there, and each
-    j of the orbit gets i in lower[j]. group is the product of the orbit
-    sizes, |G|. G itself is never listed: K_10 would hold 10! maps.
+    before it is found with pinned kernel runs of i's component into the
+    planned edges, one for each later position j of equal degree there, and
+    each j of the orbit gets i in lower[j]. group is the product of the
+    orbit sizes, |G|. G itself is never listed: K_10 would hold 10! maps.
+
+    These kernel runs build no plan of their own. A component is placed in
+    one run of the plan, and the greedy rule, given the component's edges
+    and any prefix of that run as pins, places the rest as the run does: so
+    each kernel run takes the run as its plan. A connected map with a pin
+    in the component stays inside it, so one host graph serves them all.
     """
-    order, back, hdeg, epos = plan[:4]
+    order, back, hdeg, epos, reach = plan[:5]
+    host = SimpleGraph(q, [(order[a], order[b]) for a, b in epos])
     comp = []  # first position of each position's component: every later one has a back
     for i, bk in enumerate(back):
         comp.append(comp[bk[0]] if bk else i)
-    hosts = {}
-    for a, b in epos:
-        hosts.setdefault(comp[a], []).append((order[a], order[b]))
-    hosts = {c: SimpleGraph(q, edges) for c, edges in hosts.items()}
     lower = [[] for _ in order]
     group = 1
     for i in range(npins, len(order)):
         c = comp[i]
-        fixed = order[c:i]  # the component's earlier positions: it is placed in one run
-        sub = _greedy_order(q, hosts[c].edges, fixed + (order[i],))
+        rivals = [j for j in range(i + 1, len(order)) if comp[j] == c and hdeg[j] == hdeg[i]]
+        if not rivals:
+            continue  # an orbit of one
+        end = c + comp.count(c)
+        run = (order[c:end], tuple(tuple(k - c for k in bk) for bk in back[c:end]),
+               hdeg[c:end], (), reach[c:end], ((),) * (end - c), 1)
         size = 1
-        for j in range(i + 1, len(order)):
-            if comp[j] != c or hdeg[j] != hdeg[i]:
-                continue
+        for j in rivals:
             try:
-                _count_maps(sub, hosts[c], fixed + (order[j],), [DEFAULT_MAP_BUDGET], _found)
+                _count_maps(run, host, order[c:i] + (order[j],), [DEFAULT_MAP_BUDGET], _found)
             except _Found:
                 lower[j].append(i)
                 size += 1
@@ -396,12 +401,12 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
     plan = _greedy_order(h.n, h.edges, ())  # lists every automorphism: nothing broken
     order, edges = plan[0], h.edges
     slot = {e: i for i, e in enumerate(edges)}
-    autos = []  # per automorphism: vertex images, and edge slot images
+    autos = []  # per automorphism: vertex images, and the bit of each edge's image
 
     def leaf(images, mask, labels):
         for full in _complete_maps(images, mask, labels):
             s = dict(zip(order, full))
-            autos.append((s, [slot[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges]))
+            autos.append((s, [1 << slot[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges]))
 
     _count_maps(plan, h, (), [DEFAULT_MAP_BUDGET], leaf)
     every = range(1 << len(edges))
@@ -415,11 +420,9 @@ def _orbit_table(h: SimpleGraph, rooted: bool):
     for pins, bits in members:
         if (pins, bits) in where:
             continue
-        orbit = {
-            (tuple(s[x] for x in pins),
-             sum(1 << j for i, j in enumerate(perm) if bits >> i & 1))
-            for s, perm in autos
-        }
+        kept = [i for i in range(len(edges)) if bits >> i & 1]
+        orbit = {(tuple(map(s.__getitem__, pins)), sum(map(image.__getitem__, kept)))
+                 for s, image in autos}
         where.update(dict.fromkeys(orbit, len(table)))
         free = bits & ~(1 << slot[min(pins), max(pins)]) if pins else bits
         preds = {where[pins, bits & ~(1 << i)] for i in range(len(edges)) if free >> i & 1}

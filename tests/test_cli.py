@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -405,6 +406,25 @@ def test_negative_seed_is_domain_error(argv, capsys):
     assert json.loads(captured.err.strip())["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("p", ["1.5", "nan", "-0.5"])
+def test_bounds_p_outside_unit_interval_is_domain_error(p, capsys):
+    # bounds used to echo p = 1.5 or nan and exit 0; it now fails as sample does
+    assert main(["sample", "--n", "10", "--p", p]) == 1
+    sample_err = capsys.readouterr().err
+    assert main(["bounds", "--pattern", "k3", "--n", "10", "--p", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == sample_err
+    assert json.loads(captured.err) == {"error": "DomainError",
+                                        "message": f"p must lie in [0, 1], got {float(p)}"}
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_bounds_p_at_the_unit_interval_ends_is_valid(p, capsys):
+    assert main(["bounds", "--pattern", "k3", "--n", "10", "--p", p]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == float(p)
+
+
 def test_cli_type_hints_resolve():
     """Every annotation in regtail.cli names something the module imports."""
     functions = [f for _, f in inspect.getmembers(cli, inspect.isfunction)
@@ -533,6 +553,79 @@ def test_unknown_flag_reports_the_subcommand_usage(argv, usage, recorded_sweeps,
     command = "regtail " + " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
     assert err.splitlines()[-1] == f"{command}: error: unrecognized arguments: {' '.join(argv[-2:])}"
     assert recorded_sweeps == []
+
+
+# Flags each command requires, with values that parse: argv[0] with these
+# and nothing else reaches the command's handler.
+REQUIRED_FLAGS = {
+    "sample": ["--n", "5"],
+    "count": ["--pattern", "k3", "--graph", "@g.edges"],
+    "decompose": ["--pattern", "k3", "--graph", "@g.edges"],
+    "core": ["--pattern", "k3", "--n", "20", "--graph", "@g.edges", "--k", "3"],
+    "bounds": ["--pattern", "k3", "--n", "20"],
+    "tail": ["--pattern", "k3", "--n", "6", "--k", "1"],
+    "scan": ["--pattern", "k3", "--n", "6", "--kmax", "3"],
+}
+
+
+def _parity_calls():
+    """Help, usage errors and bad names for every command and verify target."""
+    calls = [[], ["--help"], ["nosuch"], ["verify"], ["verify", "nosuch"], ["verify", "--help"]]
+    for command in cli.COMMANDS:
+        required = REQUIRED_FLAGS.get(command, [])
+        calls += [[command, "--help"], [command, *required, "--bogus", "1"]]
+        if required:  # every required flag missing, then only the last
+            calls += [[command], [command, *required[:-2]]]
+    calls += [["scan", "--format", "xml", *REQUIRED_FLAGS["scan"]],
+              ["tail", "--n", "x", *REQUIRED_FLAGS["tail"]]]
+    for target in verify.SWEEPS:
+        calls += [["verify", target, "--help"], ["verify", target, "--bogus", "1"]]
+    return calls
+
+
+def _exit_outcome(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", _parity_calls(), ids=lambda argv: " ".join(argv) or "(none)")
+def test_command_parser_prints_what_the_whole_parser_prints(argv, monkeypatch, capsys):
+    """main parses with the parser of one command (and one verify target);
+    its help, usage and errors match the parser that holds every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _exit_outcome(argv, capsys)
+    assert got[0] in (0, 2)
+    assert got[1] or got[2]
+    monkeypatch.setattr(cli, "_parser_for", lambda argv: cli._build_parser())
+    assert _exit_outcome(argv, capsys) == got
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Names of the argparse parsers constructed from here on, none cached."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    yield built
+    cli._build_parser.cache_clear()  # drop the parsers built while counting
+
+
+def test_a_run_builds_only_the_parsers_it_uses(parsers_built, capsys):
+    # building every command and target takes 19 parsers
+    assert main(["verify", "lemma17", "--trials", "3"]) == 0
+    assert parsers_built == ["regtail", "regtail verify", "regtail verify lemma17"]
+    parsers_built.clear()
+    assert main(["bounds", "--pattern", "k3", "--n", "20"]) == 0
+    assert parsers_built == ["regtail", "regtail bounds"]
+    assert "PASS" in capsys.readouterr().out
 
 
 def _fails(**fields):

@@ -6,6 +6,7 @@ which larger graphs get, and with ball frames, which the kernel gets for
 components above graphs.MAX_FRAME vertices."""
 
 import dataclasses
+import random
 from itertools import combinations, permutations
 
 import numpy as np
@@ -122,6 +123,33 @@ def test_symmetry_breaking_matches_every_map(name, rooted):
     for g in hosts:
         copies = iter_copies(P, g)
         assert len(copies) == len(set(copies)) == count_copies(P, g)
+
+
+def test_component_runs_are_greedy_orders_of_their_own():
+    """_break_symmetry maps a component into the pattern under its run of
+    the plan, with a prefix of the run pinned, where it used to plan the
+    component afresh. On random edge sets, pinned or not, each component is
+    one run of the plan, and the fresh plan with that prefix pinned is the
+    run, position for position."""
+    rng = random.Random(3)
+    for _ in range(200):
+        q = rng.randint(2, 9)
+        pairs = list(combinations(range(q), 2))
+        edges = tuple(sorted(rng.sample(pairs, rng.randint(1, min(len(pairs), q)))))
+        for pins in ((), edges[0], edges[0][::-1]):
+            order, back, hdeg, _, reach = counting._greedy_order(q, edges, pins)[:5]
+            first = []
+            for i, bk in enumerate(back):
+                first.append(first[bk[0]] if bk else i)
+            for c in set(first):
+                end = c + first.count(c)
+                assert first[c:end] == [c] * (end - c)
+                component = [e for e in edges if c <= order.index(e[0]) < end]
+                run = (order[c:end], tuple(tuple(k - c for k in bk) for bk in back[c:end]),
+                       hdeg[c:end], reach[c:end])
+                for i in range(max(c, len(pins)), end):
+                    fresh = counting._greedy_order(q, component, order[c:i + 1])
+                    assert (fresh[0], fresh[1], fresh[2], fresh[4]) == run
 
 
 def test_wrong_aut_count_is_refused():
